@@ -14,9 +14,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import load_spec, parse_config
+from .config import build_spec, load_spec, parse_config
 from .diagnostics import diagnose
-from .errors import CFLViolation, ConfigParse, HypothesisViolation, MFGError, MissingArtifact
+from .errors import CFLViolation, ConfigParse, HypothesisViolation, InvalidOption, MFGError, MissingArtifact
 from .model import check_assumptions, classify_exponents
 from .picard import PicardOptions, picard_iterate
 from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual
@@ -43,19 +43,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _config_echo(path: str) -> dict:
-    return parse_config(path)
-
-
 def cmd_solve(args) -> int:
     spec = load_spec(args.config)
-    report = check_assumptions(spec)
-    if not report.passed:
-        name, detail = report.failures[0]
-        print(f"{name} violated" + (f": {detail}" if detail else ""), file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    case = classify_exponents(spec)
-    np.random.seed(args.seed)
+    case = classify_exponents(spec)  # raises HypothesisViolation naming the first failure
 
     t0 = time.time()
     if args.method == "pd":
@@ -83,7 +73,7 @@ def cmd_solve(args) -> int:
 
     rep, verdict = weak_solution_report(sol, spec, tol=max(args.tol, 1e-10))
     manifest = {
-        "config": _config_echo(args.config),
+        "config": parse_config(args.config),
         "case_info": case.to_dict(),
         "solver": args.method,
         "options": options_echo,
@@ -103,8 +93,6 @@ def cmd_solve(args) -> int:
 
 def _grid_and_spec_from_manifest(sol_dir: str):
     manifest = sio.read_manifest(sol_dir)
-    from .config import build_spec
-
     spec = build_spec(manifest["config"], base_dir=sol_dir)
     return manifest, spec
 
@@ -120,7 +108,10 @@ def cmd_verify(args) -> int:
 def cmd_diagnose(args) -> int:
     manifest, spec = _grid_and_spec_from_manifest(args.solution)
     sol = sio.read_solution(args.solution, spec.grid)
-    shifts = [float(tok) for tok in args.shifts.split(",") if tok.strip()]
+    try:
+        shifts = [float(tok) for tok in args.shifts.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidOption(f"--shifts needs comma-separated numbers, got {args.shifts!r}") from None
     if np.any(spec.A != 0.0):
         print("time diagnostics require zero diffusion (A = 0)", file=sys.stderr)
         return EXIT_INPUT
@@ -140,11 +131,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_probe(args) -> int:
     spec = load_spec(args.config)
-    report = check_assumptions(spec)
-    if not report.passed:
-        name, detail = report.failures[0]
-        print(f"{name} violated" + (f": {detail}" if detail else ""), file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    classify_exponents(spec)  # raises HypothesisViolation naming the first failure
     opts = SolverOptions(max_iter=args.max_iter, tol_gap=args.tol)
     probe = uniqueness_probe(spec, opts, n_inits=args.n_inits, seed=args.seed)
     print(json.dumps({"m_distance": probe.m_distance, "P_distance": probe.P_distance,

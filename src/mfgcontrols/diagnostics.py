@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeltaNotOnGrid, ShiftTooLarge
-from .grid import grad_values, integrate_Q, ScalarField
+from .grid import grad_values, integrate_Q, ScalarField, shift
 from .model import ProblemSpec, power_gradient
 from .varsolve import Solution
 
@@ -145,7 +145,7 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
     m_p = _interp_time(sol.m, g, t_plus)
 
     def j1_arg(u_arr, P_arr):
-        xi = grad_values(g, u_arr) + np.einsum("kd...,tk->td...", spec.phi, P_arr)
+        xi = grad_values(g, u_arr) + spec.phi_transpose_price(P_arr)
         return np.moveaxis(j1(np.moveaxis(xi, 1, -1), spec), -1, 1)
 
     dj = j1_arg(u_p, P_p) - j1_arg(u_m, P_m)
@@ -173,30 +173,22 @@ def space_shift_sum(sol: Solution, spec: ProblemSpec, delta: float) -> float:
     """
     g = spec.grid
     ratio = delta / g.hx
-    shift = int(round(ratio))
-    if abs(ratio - shift) > 1e-9:
+    nodes = int(round(ratio))
+    if abs(ratio - nodes) > 1e-9:
         raise DeltaNotOnGrid(f"delta = {delta} is not a multiple of hx = {g.hx}")
-    if shift == 0:
+    if nodes == 0:
         return 0.0
-    ax_m = 1  # first spatial axis of (nt+1, *space) arrays
-    ax_w = 2  # first spatial axis of (nt+1, d, *space) arrays
-
-    def shift_scalar(arr, s):
-        return np.roll(arr, -s, axis=ax_m)
-
-    def shift_vector(arr, s):
-        return np.roll(arr, -s, axis=ax_w)
-
-    xi = grad_values(g, sol.u) + np.einsum("kd...,tk->td...", spec.phi, sol.P)
+    xi = grad_values(g, sol.u) + spec.phi_transpose_price(sol.P)
 
     def j1_shifted(s):
-        # shift u and phi together: roll the assembled argument
-        return np.moveaxis(j1(np.moveaxis(shift_vector(xi, s), 1, -1), spec), -1, 1)
+        # shift u and phi together: shift the assembled argument along axis 2,
+        # the first spatial axis of (nt+1, d, *space)
+        return np.moveaxis(j1(np.moveaxis(shift(xi, -s, 2), 1, -1), spec), -1, 1)
 
-    dj = j1_shifted(shift) - j1_shifted(-shift)
+    dj = j1_shifted(nodes) - j1_shifted(-nodes)
     term_H = 0.5 * _integrate_Q_values(g, np.maximum(sol.m, 0.0) * np.sum(dj * dj, axis=1))
 
-    m_d = shift_scalar(sol.m, shift)
+    m_d = shift(sol.m, -nodes, 1)  # axis 1: first spatial axis of (nt+1, *space)
     wgt = _min_weight(np.maximum(m_d, 0.0), np.maximum(sol.m, 0.0), spec.q - 2.0)
     term_f = 0.5 * _integrate_Q_values(g, wgt * (m_d - sol.m) ** 2)
     return float(term_H + term_f)

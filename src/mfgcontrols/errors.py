@@ -58,3 +58,7 @@ class MissingArtifact(MFGError):
 
 class ConfigParse(MFGError):
     """Malformed configuration file."""
+
+
+class InvalidOption(MFGError, ValueError):
+    """A solver or command option lies outside its admissible range."""

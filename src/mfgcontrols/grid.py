@@ -96,11 +96,6 @@ class Grid:
         axes = [self.axis_coords() for _ in range(self.d)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def space_axes(self, time_stacked: bool = True, vector: bool = False) -> tuple:
-        """Indices of the spatial axes in a field array."""
-        off = (1 if time_stacked else 0) + (1 if vector else 0)
-        return tuple(range(off, off + self.d))
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -142,27 +137,18 @@ class VectorField:
         return cls(grid, np.zeros(grid.vector_shape))
 
 
-@dataclass(frozen=True)
-class PricePath:
-    """k-vector per time node; houses the price P(t)."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.nt + 1:
-            raise ValueError(f"price path shape {v.shape} != ({self.grid.nt + 1}, k)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("price path has non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-
 # -- raw-array stencils; the spatial axes are the trailing d axes ------------
+
+
+def shift(u: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Periodic shift by k nodes along one axis: np.roll(u, k, axis) as two slice copies."""
+    n = u.shape[axis]
+    k %= n
+    out = np.empty_like(u)
+    lead = (slice(None),) * (axis % u.ndim)
+    out[lead + (slice(k, None),)] = u[lead + (slice(None, n - k),)]
+    out[lead + (slice(None, k),)] = u[lead + (slice(n - k, None),)]
+    return out
 
 
 def grad_values(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -177,7 +163,7 @@ def grad_values(grid: Grid, u: np.ndarray) -> np.ndarray:
     for i in range(grid.d):
         ax = lead + i
         sl = (slice(None),) * lead + (i,)
-        out[sl] = (np.roll(u, -1, axis=ax) - u) / grid.hx
+        out[sl] = (shift(u, -1, ax) - u) / grid.hx
     return out
 
 
@@ -193,7 +179,7 @@ def div_values(grid: Grid, w: np.ndarray) -> np.ndarray:
         ax = lead + i  # spatial axis i in the output layout
         sl = (slice(None),) * lead + (i,)
         wi = w[sl]
-        out += (wi - np.roll(wi, 1, axis=ax)) / grid.hx
+        out += (wi - shift(wi, 1, ax)) / grid.hx
     return out
 
 
@@ -213,24 +199,22 @@ def diffusion_values(grid: Grid, A: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Self-adjoint on the periodic lattice; with constant coefficients the same
     routine serves both the second-order term of the backward equation and
-    its formal adjoint in the transport equation.
+    its formal adjoint in the transport equation.  A raw stencil: A is not
+    validated here, callers run ``check_psd`` once at their entry.
     """
-    A = check_psd(A, grid.d)
     lead = u.ndim - grid.d
     out = np.zeros_like(u, dtype=float)
     hx2 = grid.hx**2
     for i in range(grid.d):
         ai = lead + i
         if A[i, i] != 0.0:
-            out += A[i, i] * (np.roll(u, -1, ai) - 2.0 * u + np.roll(u, 1, ai)) / hx2
+            out += A[i, i] * (shift(u, -1, ai) - 2.0 * u + shift(u, 1, ai)) / hx2
         for j in range(i + 1, grid.d):
             if A[i, j] != 0.0:
                 aj = lead + j
+                up, um = shift(u, -1, ai), shift(u, 1, ai)
                 cross = (
-                    np.roll(np.roll(u, -1, ai), -1, aj)
-                    - np.roll(np.roll(u, -1, ai), 1, aj)
-                    - np.roll(np.roll(u, 1, ai), -1, aj)
-                    + np.roll(np.roll(u, 1, ai), 1, aj)
+                    shift(up, -1, aj) - shift(up, 1, aj) - shift(um, -1, aj) + shift(um, 1, aj)
                 ) / (4.0 * hx2)
                 out += 2.0 * A[i, j] * cross
     return out
@@ -257,7 +241,7 @@ def divergence(w: VectorField) -> ScalarField:
 
 def diffusion_apply(A: np.ndarray, u: ScalarField) -> ScalarField:
     """Apply the constant-coefficient second-order operator A_ij d_ij."""
-    return ScalarField(u.grid, diffusion_values(u.grid, A, u.values))
+    return ScalarField(u.grid, diffusion_values(u.grid, check_psd(A, u.grid.d), u.values))
 
 
 def integrate_space(f: ScalarField, t_index: int) -> float:

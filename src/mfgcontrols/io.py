@@ -65,7 +65,10 @@ def write_price_csv(path: str, grid: Grid, values: np.ndarray) -> None:
 def _read_csv(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    try:
+        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    except ValueError:
+        raise MissingArtifact(f"{path}: rows with a wrong column count") from None
     return np.atleast_2d(data)
 
 
@@ -78,6 +81,8 @@ def read_scalar_csv(path: str, grid: Grid) -> np.ndarray:
 
 def read_vector_csv(path: str, grid: Grid) -> np.ndarray:
     data = _read_csv(path)
+    if data.shape[0] != (grid.nt + 1) * grid.n_space:
+        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
     vals = data[:, -grid.d :]
     return vals.reshape(grid.nt + 1, grid.n_space, grid.d).transpose(0, 2, 1).reshape(grid.vector_shape)
 

@@ -305,15 +305,16 @@ class ProblemSpec:
         return power_gradient(P, power_conjugate_coeff(self.kappa_phi, self.s), self.s_prime)
 
     def phi_transpose_price(self, P):
-        """Field phi(x)^T P for one price vector P in R^k -> (d, *space)."""
-        return np.einsum("kd...,k->d...", self.phi, np.asarray(P, dtype=float))
+        """Field phi(x)^T P_t for a price path (nt', k) -> (nt', d, *space)."""
+        return np.einsum("kd...,tk->td...", self.phi, np.asarray(P, dtype=float))
 
-    def aggregate_kernel(self, w_slice):
-        """Integral of phi(x) w(x) over the torus for one slice (d, *space) -> (k,)."""
+    def aggregate_kernel(self, w):
+        """Torus integral of phi(x) w(x) per slice: (..., d, *space) -> (..., k)."""
         g = self.grid
         phi_flat = self.phi.reshape(self.k, g.d, g.n_space)
-        w_flat = np.asarray(w_slice, dtype=float).reshape(g.d, g.n_space)
-        return np.einsum("kds,ds->k", phi_flat, w_flat) * g.cell_volume
+        w = np.asarray(w, dtype=float)
+        w_flat = w.reshape(w.shape[: w.ndim - g.d - 1] + (g.d, g.n_space))
+        return np.einsum("kds,...ds->...k", phi_flat, w_flat) * g.cell_volume
 
 
 # -- hypothesis checking and exponent classification -------------------------

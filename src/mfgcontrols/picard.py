@@ -8,6 +8,13 @@ subcycles its grid intervals with enough internal substeps to satisfy the
 CFL bound computed from the current wave speeds; forcing ``substeps=1`` on
 a violating configuration raises CFLViolation with the admissible step.
 
+Only the two explicit passes step through time.  The feedback and price
+stages act on all nt+1 time slices in one vectorised call each, and the
+price shift phi^T P and the transport face velocities are likewise formed
+for the whole path before the passes start.  The diffusion matrix A is
+validated once per sweep entry, and the diffusion stencil runs only when
+A != 0; at A = 0 no diffusion term is formed at all.
+
 Nothing here shares machinery with the saddle-point path beyond the grid
 stencils, so agreement of the two solvers is a meaningful uniqueness check.
 """
@@ -18,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolation
-from .grid import diffusion_values
+from .errors import CFLViolation, InvalidOption
+from .grid import check_psd, diffusion_values, shift
 from .model import ProblemSpec
 from .varsolve import Solution
 
@@ -34,9 +41,13 @@ class PicardOptions:
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+            raise InvalidOption("damping must lie in (0, 1]")
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise InvalidOption("cfl_safety must lie in (0, 1]")
+        if self.max_outer < 1:
+            raise InvalidOption("max_outer must be >= 1")
+        if self.max_substeps < 1:
+            raise InvalidOption("max_substeps must be >= 1")
 
 
 @dataclass
@@ -47,24 +58,30 @@ class PicardResult:
     residuals: list
 
 
-def _upwind_ham_parts(spec: ProblemSpec, u_slice: np.ndarray, g_shift: np.ndarray):
+def _upwind_ham_parts(spec: ProblemSpec, u: np.ndarray, g_shift: np.ndarray):
     """One-sided slope selection for the shifted Hamiltonian argument.
 
-    Returns (xi_sq, xi) where xi_sq is the Osher-Sethian squared magnitude
+    u is (..., *space) and g_shift (..., d, *space), so one call serves a
+    single slice or the whole time path.  Returns (xi_sq, xi) where xi_sq
+    is the Osher-Sethian squared magnitude
     sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2 and xi the
     signed selected vector used by the feedback.
     """
     g = spec.grid
     hx = g.hx
-    xi_sq = np.zeros_like(u_slice)
-    xi = np.zeros((g.d, *g.space_shape))
+    lead = u.ndim - g.d
+    comp = (slice(None),) * lead
+    xi_sq = 0.0
+    xi = np.empty(g_shift.shape)
     for i in range(g.d):
-        dp = (np.roll(u_slice, -1, axis=i) - u_slice) / hx
-        dm = (u_slice - np.roll(u_slice, 1, axis=i)) / hx
-        a = np.maximum(dm + g_shift[i], 0.0)
-        b = np.minimum(dp + g_shift[i], 0.0)
-        xi_sq += a * a + b * b
-        xi[i] = a + b
+        ax = lead + i
+        dp = (shift(u, -1, ax) - u) / hx
+        dm = shift(dp, 1, ax)  # D^-_i u at a node is D^+_i u at its left neighbour
+        gi = g_shift[comp + (i,)]
+        a = np.maximum(dm + gi, 0.0)
+        b = np.minimum(dp + gi, 0.0)
+        xi_sq = xi_sq + (a * a + b * b)
+        xi[comp + (i,)] = a + b
     return xi_sq, xi
 
 
@@ -87,22 +104,24 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     """
     opts = opts or PicardOptions()
     g = spec.grid
+    check_psd(spec.A, g.d)
+    diffusive = np.any(spec.A)
     if np.min(m) < -1e-12:
         raise ValueError("solve_hjb requires m >= 0")
     u = np.empty(g.scalar_shape)
     u[g.nt] = spec.uT
     fm = spec.coupling_f(np.maximum(m, 0.0))
+    g_shift = spec.phi_transpose_price(P)
     diff_rate = _diffusion_cfl(spec)
     for j in range(g.nt - 1, -1, -1):
-        g_shift = spec.phi_transpose_price(P[j])
         rhs = fm[j + 1]
         n_sub = 1 if substeps is None else substeps
         while True:
             dt = g.ht / n_sub
-            cur = u[j + 1].copy()
+            cur = u[j + 1]
             ok = True
             for _ in range(n_sub):
-                xi_sq, xi = _upwind_ham_parts(spec, cur, g_shift)
+                xi_sq, _ = _upwind_ham_parts(spec, cur, g_shift[j])
                 norm = np.sqrt(xi_sq)
                 speed = float(np.max(spec.c * np.where(norm > 0.0, norm ** (spec.r - 1.0), 0.0)))
                 rate = g.d * speed / g.hx + diff_rate
@@ -110,7 +129,9 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
                     ok = False
                     break
                 ham = spec.c * xi_sq ** (spec.r / 2.0) / spec.r
-                cur = cur + dt * (diffusion_values(g, spec.A, cur) - ham + rhs)
+                if diffusive:
+                    ham -= diffusion_values(g, spec.A, cur)  # now H - A_ij d_ij u
+                cur = cur + dt * (rhs - ham)
             if ok:
                 break
             if substeps is not None or n_sub >= opts.max_substeps:
@@ -125,14 +146,9 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
 
 
 def feedback(u: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Optimal drift v = -dH(x, Du + phi^T P) with the same one-sided slopes."""
-    g = spec.grid
-    v = np.empty(g.vector_shape)
-    for j in range(g.nt + 1):
-        g_shift = spec.phi_transpose_price(P[j])
-        _, xi = _upwind_ham_parts(spec, u[j], g_shift)
-        v[j] = -spec.dH(xi)
-    return v
+    """Optimal drift v = -dH(x, Du + phi^T P) with the same one-sided slopes, all slices at once."""
+    _, xi = _upwind_ham_parts(spec, u, spec.phi_transpose_price(P))
+    return -spec.dH(xi)
 
 
 def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None,
@@ -145,13 +161,17 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
     """
     opts = opts or PicardOptions()
     g = spec.grid
+    check_psd(spec.A, g.d)
+    diffusive = np.any(spec.A)
     m = np.empty(g.scalar_shape)
     m[0] = spec.m0
     diff_rate = _diffusion_cfl(spec)
+    drift = v[:-1]  # interval n is driven by the slice v[n-1]
+    speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
+    faces = np.stack([0.5 * (drift[:, i] + shift(drift[:, i], -1, 1 + i)) for i in range(g.d)], axis=1)
+    v_plus, v_minus = np.maximum(faces, 0.0), np.minimum(faces, 0.0)
     for n in range(1, g.nt + 1):
-        drift = v[n - 1]
-        speed = float(np.max(np.abs(drift)))
-        rate = g.d * speed / g.hx + diff_rate
+        rate = g.d * float(speeds[n - 1]) / g.hx + diff_rate
         needed = max(1, int(np.ceil(rate * g.ht / max(opts.cfl_safety, 1e-300) - 1e-12)))
         n_sub = needed if substeps is None else substeps
         if n_sub < needed or n_sub > opts.max_substeps:
@@ -161,25 +181,24 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
                 admissible_ht=admissible,
             )
         dt = g.ht / n_sub
-        cur = m[n - 1].copy()
+        vp, vm = v_plus[n - 1], v_minus[n - 1]
+        cur = m[n - 1]
         for _ in range(n_sub):
-            flux_div = np.zeros_like(cur)
+            flux_div = 0.0
             for i in range(g.d):
-                v_face = 0.5 * (drift[i] + np.roll(drift[i], -1, axis=i))
-                flux = np.maximum(v_face, 0.0) * cur + np.minimum(v_face, 0.0) * np.roll(cur, -1, axis=i)
-                flux_div += (flux - np.roll(flux, 1, axis=i)) / g.hx
-            cur = cur - dt * flux_div + dt * diffusion_values(g, spec.A, cur)
+                flux = vp[i] * cur + vm[i] * shift(cur, -1, i)
+                flux_div = flux_div + (flux - shift(flux, 1, i)) / g.hx
+            new = cur - dt * flux_div
+            if diffusive:
+                new += dt * diffusion_values(g, spec.A, cur)
+            cur = new
         m[n] = cur
     return m
 
 
 def update_price(m: np.ndarray, v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Price path P_j = Psi(int phi v_j m_j dx) per time node."""
-    g = spec.grid
-    P = np.empty((g.nt + 1, spec.k))
-    for j in range(g.nt + 1):
-        P[j] = spec.Psi(spec.aggregate_kernel(v[j] * m[j]))
-    return P
+    """Price path P_j = Psi(int phi v_j m_j dx), all time nodes at once."""
+    return spec.Psi(spec.aggregate_kernel(v * m[:, None]))
 
 
 def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> PicardResult:

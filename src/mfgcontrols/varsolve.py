@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeViolation
-from .grid import Grid, div_values, diffusion_values, grad_values
+from .errors import InvalidOption, StepSizeViolation
+from .grid import Grid, check_psd, div_values, diffusion_values, grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
 
@@ -92,6 +92,14 @@ class SolverOptions:
     newton_max: int = 60
     step_ratio: float = 1.0
     power_iters: int = 50
+
+    def __post_init__(self):
+        if not 0.0 < self.over_relaxation <= 1.0:
+            raise InvalidOption("over_relaxation must lie in (0, 1]")
+        if not self.tol_gap >= 0.0:
+            raise InvalidOption("tol_gap must be >= 0")
+        if self.max_iter < 1:
+            raise InvalidOption("max_iter must be >= 1")
 
 
 @dataclass
@@ -164,18 +172,14 @@ def eval_D(u: np.ndarray, P: np.ndarray, gamma: np.ndarray, spec: ProblemSpec) -
 
 def aggregate_flux(w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Aggregated control flux z_n = int phi(x) w_n(x) dx per time node -> (nt+1, k)."""
-    g = spec.grid
-    phi_flat = spec.phi.reshape(spec.k, g.d, g.n_space)
-    w_flat = w.reshape(w.shape[0], g.d, g.n_space)
-    return np.einsum("kds,tds->tk", phi_flat, w_flat) * g.cell_volume
+    return spec.aggregate_kernel(w)
 
 
 def fp_constraint(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Transport residual, (nt+1)-slotted: slice 0 is m_0 - m0, slice n the interval residual."""
-    g = spec.grid
-    out = np.empty(g.scalar_shape)
+    out = np.empty(spec.grid.scalar_shape)
     out[0] = m[0] - spec.m0
-    out[1:] = (m[1:] - m[:-1]) / g.ht - diffusion_values(g, spec.A, m[1:]) + div_values(g, w[1:])
+    out[1:] = _constraint(spec, m[1:], w[1:], m[0])
     return out
 
 
@@ -188,43 +192,43 @@ def fp_adjoint(U: np.ndarray, spec: ProblemSpec):
     being the data boundary term.
     """
     g = spec.grid
-    gm = np.zeros(g.scalar_shape)
+    gm = np.empty(g.scalar_shape)
     gw = np.zeros(g.vector_shape)
-    u = U[1:]
-    gm[0] = U[0] - u[0] / g.ht
-    gm[1:] = u / g.ht - diffusion_values(g, spec.A, u)
-    gm[1:-1] -= u[1:] / g.ht
-    gw[1:] = -grad_values(g, u)
+    gm[0] = U[0] - U[1] / g.ht
+    gm[1:] = _adjoint_m(spec, U[1:])
+    gw[1:] = _adjoint_w(spec, U[1:])
     return gm, gw
 
 
 # -- internal interval-variable operators --------------------------------------
 
 
-def _constraint(spec, m, w):
-    """R[i]: residual of interval i+1 from interval variables m, w (nt, ...)."""
+def _constraint(spec, m, w, m_start=None):
+    """R[i]: residual of interval i+1 from interval variables m, w (nt, ...).
+
+    m_start is the density slice the first interval starts from, m0 by
+    default; 0 gives the linear part (the norm estimate), and fp_constraint
+    passes its own slot-0 density.
+    """
     g = spec.grid
     R = np.empty_like(m)
-    R[0] = (m[0] - spec.m0) / g.ht
+    R[0] = (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
     R[1:] = (m[1:] - m[:-1]) / g.ht
-    R -= diffusion_values(g, spec.A, m)
+    if np.any(spec.A):
+        R -= diffusion_values(g, spec.A, m)
     R += div_values(g, w)
     return R
 
 def _adjoint_m(spec, u):
     g = spec.grid
-    gm = u / g.ht - diffusion_values(g, spec.A, u)
+    gm = u / g.ht
+    if np.any(spec.A):
+        gm -= diffusion_values(g, spec.A, u)
     gm[:-1] -= u[1:] / g.ht
     return gm
 
 def _adjoint_w(spec, u):
     return -grad_values(spec.grid, u)
-
-def _aggregate(spec, w):
-    return aggregate_flux(w, spec)
-
-def _agg_adjoint(spec, p):
-    return np.einsum("kd...,tk->td...", spec.phi, p)
 
 
 def estimate_operator_norm(spec: ProblemSpec, iters: int = 50, seed: int = 0, include_price: bool = True) -> float:
@@ -240,12 +244,12 @@ def estimate_operator_norm(spec: ProblemSpec, iters: int = 50, seed: int = 0, in
     lam2 = 0.0
     vol = g.cell_volume
     for _ in range(iters):
-        R = _constraint_linear(spec, m, w)
-        Z = _aggregate(spec, w) if include_price else None
+        R = _constraint(spec, m, w, 0.0)
+        Z = aggregate_flux(w, spec) if include_price else None
         gm = _adjoint_m(spec, R)
         gw = _adjoint_w(spec, R)
         if include_price:
-            gw = gw + _agg_adjoint(spec, Z)
+            gw = gw + spec.phi_transpose_price(Z)
         ny2 = float(np.sum(R * R)) * g.ht * vol
         if include_price:
             ny2 += float(np.sum(Z * Z)) * g.ht
@@ -256,17 +260,6 @@ def estimate_operator_norm(spec: ProblemSpec, iters: int = 50, seed: int = 0, in
     return float(np.sqrt(lam2))
 
 
-def _constraint_linear(spec, m, w):
-    """Linear part of _constraint (drops the m0 data term)."""
-    g = spec.grid
-    R = np.empty_like(m)
-    R[0] = m[0] / g.ht
-    R[1:] = (m[1:] - m[:-1]) / g.ht
-    R -= diffusion_values(g, spec.A, m)
-    R += div_values(g, w)
-    return R
-
-
 def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.ndarray:
     """Dual-feasible congestion multiplier from (u, P) interval variables.
 
@@ -275,8 +268,10 @@ def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.nd
     lower bound on -B at every iterate.
     """
     g = spec.grid
-    xi = grad_values(g, u_int) + _agg_adjoint(spec, p_int)
-    gam = spec.hamiltonian(xi) - diffusion_values(g, spec.A, u_int)
+    xi = grad_values(g, u_int) + spec.phi_transpose_price(p_int)
+    gam = spec.hamiltonian(xi)
+    if np.any(spec.A):
+        gam -= diffusion_values(g, spec.A, u_int)
     gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
     gam[-1] += (u_int[-1] - spec.uT) / g.ht
     return gam
@@ -322,6 +317,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     """
     opts = opts or SolverOptions()
     g = spec.grid
+    check_psd(spec.A, g.d)
 
     L = estimate_operator_norm(spec, iters=opts.power_iters, include_price=include_price)
     if opts.tau is None or opts.sigma_step is None:
@@ -351,14 +347,14 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         # dual ascent at the extrapolated primal point
         u += sigma * _constraint(spec, mb, wb)
         if include_price:
-            p = prox_Phi_star(p + sigma * _aggregate(spec, wb), sigma, spec.kappa_phi, spec.s,
+            p = prox_Phi_star(p + sigma * aggregate_flux(wb, spec), sigma, spec.kappa_phi, spec.s,
                               opts.newton_tol, opts.newton_max)
         else:
             p.fill(0.0)
 
         # primal descent with the joint kinetic + congestion prox
         gm = m - tau * _adjoint_m(spec, u)
-        gw = w - tau * (_adjoint_w(spec, u) + (_agg_adjoint(spec, p) if include_price else 0.0))
+        gw = w - tau * (_adjoint_w(spec, u) + (spec.phi_transpose_price(p) if include_price else 0.0))
         gm[-1] -= uT_shift
         m_new, w_new = prox_kinetic_congestion(
             gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q,
@@ -381,7 +377,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         R = _constraint(spec, m, w)
         fp_res = float(np.sum(np.abs(R)) * g.ht * vol)
         if include_price:
-            Z = _aggregate(spec, w)
+            Z = aggregate_flux(w, spec)
             price_res = float(np.sum(np.linalg.norm(p - spec.Psi(Z), axis=-1)) * g.ht)
         else:
             price_res = 0.0

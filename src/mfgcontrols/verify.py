@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerspectiveViolation
-from .grid import grad_values
+from .errors import InvalidOption, PerspectiveViolation
+from .grid import check_psd, grad_values
 from .model import ProblemSpec
 from .varsolve import (
     Solution,
@@ -84,6 +84,7 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     all below tol and the density minimum is above -tol.
     """
     g = spec.grid
+    check_psd(spec.A, g.d)
     ht, vol = g.ht, g.cell_volume
     m, w = sol.m[1:], sol.w[1:]
 
@@ -99,7 +100,7 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     z = aggregate_flux(sol.w, spec)[1:]
     price_residual = float(np.sum(np.linalg.norm(sol.P[: g.nt] - spec.Psi(z), axis=-1)) * ht)
 
-    xi = grad_values(g, sol.u[: g.nt]) + np.einsum("kd...,tk->td...", spec.phi, sol.P[: g.nt])
+    xi = grad_values(g, sol.u[: g.nt]) + spec.phi_transpose_price(sol.P[: g.nt])
     fb = w + np.maximum(m, 0.0)[:, None] * spec.dH(xi)
     feedback_residual = float(np.sum(np.sqrt(np.sum(fb * fb, axis=1))) * ht * vol)
 
@@ -158,7 +159,7 @@ def uniqueness_probe(spec: ProblemSpec, opts: SolverOptions | None = None, n_ini
     stays positive, matching the uniqueness statement.
     """
     if n_inits < 1:
-        raise ValueError("n_inits must be >= 1")
+        raise InvalidOption("n_inits must be >= 1")
     g = spec.grid
     rng = np.random.default_rng(seed)
     sols, gaps = [], []

@@ -192,3 +192,57 @@ def test_csv_roundtrip_exact_2d(tmp_path):
     back = sio.read_solution(str(tmp_path), g)
     for name in ("u", "m", "w", "P", "gamma"):
         assert np.array_equal(getattr(back, name), getattr(sol, name)), name
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.strip() and "\n" not in err.strip() and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "picard", "--damping", "2"],
+    ["--method", "picard", "--damping", "0"],
+    ["--method", "picard", "--max-iter", "0"],
+    ["--max-iter", "0"],
+    ["--tol=-1e-3"],
+])
+def test_solve_invalid_option_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "bad"
+    assert main(["solve", BUMP_CFG, "--out", str(out), *argv]) == 1
+    _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_probe_invalid_n_inits_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg")
+    assert main(["probe-uniqueness", cfg, "--n-inits", "0"]) == 1
+    assert "n_inits" in _one_line_error(capsys)
+
+
+def test_solve_non_psd_diffusion_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", A=-0.01)
+    assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "H3" in capsys.readouterr().err
+
+
+@pytest.fixture
+def uniform_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", UNIFORM_CFG, "--out", str(out), "--tol", "1e-4", "--max-iter", "20000"]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_diagnose_invalid_shifts_exits_1(uniform_run, capsys):
+    assert main(["diagnose", "--solution", str(uniform_run), "--shifts", "0.02,abc"]) == 1
+    assert "--shifts" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("cut", ["rows", "mid_row"])
+def test_verify_truncated_w_csv(uniform_run, capsys, cut):
+    lines = (uniform_run / "w.csv").read_text().splitlines()
+    text = "\n".join(lines[:-5]) + "\n" if cut == "rows" else "\n".join(lines[:-5] + ["3,4"]) + "\n"
+    (uniform_run / "w.csv").write_text(text)
+    assert main(["verify", "--solution", str(uniform_run)]) == 1
+    assert "w.csv" in _one_line_error(capsys)

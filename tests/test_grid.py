@@ -15,6 +15,7 @@ from mfgcontrols.grid import (
     inner_Q,
     integrate_Q,
     integrate_space,
+    shift,
 )
 
 
@@ -85,6 +86,15 @@ def test_periodicity_shift_identity():
     assert np.array_equal(np.roll(u, g.nx, axis=1), u)
     du = grad_values(g, u)
     assert np.allclose(np.roll(du, g.nx, axis=2), du)
+
+
+@pytest.mark.parametrize("shape,axis", [((8,), 0), ((3, 8), 1), ((6, 8), 0), ((6, 8), 1),
+                                        ((3, 6, 8), 1), ((3, 6, 8), 2), ((3, 2, 6, 8), 3)])
+def test_shift_equals_roll(shape, axis):
+    # d = 1 and d = 2 spatial layouts, with and without leading time/component axes
+    u = np.random.default_rng(5).standard_normal(shape)
+    for k in (-1, 1, -3, 2, 0, shape[axis] + 1):
+        assert np.array_equal(shift(u, k, axis), np.roll(u, k, axis)), k
 
 
 def test_diffusion_zero_matrix():

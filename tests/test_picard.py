@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgcontrols.errors import CFLViolation
+from mfgcontrols.errors import CFLViolation, InvalidOption
 from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
@@ -182,3 +182,166 @@ def test_cfl_auto_subcycling_succeeds():
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(16), uT=np.cos(2 * np.pi * x))
     u = solve_hjb(np.ones(g.scalar_shape), np.zeros((g.nt + 1, 1)), spec)
     assert np.all(np.isfinite(u))
+
+
+# -- per-slice, np.roll-based reference formulas ------------------------------
+# The sweeps above act on whole time paths and slicing stencils; these are
+# the one-slice-at-a-time formulas they replace, kept as the reference the
+# vectorised code must reproduce.
+
+
+def _ref_diffusion(g, A, u):
+    lead = u.ndim - g.d
+    out = np.zeros_like(u)
+    hx2 = g.hx**2
+    for i in range(g.d):
+        ai = lead + i
+        if A[i, i] != 0.0:
+            out += A[i, i] * (np.roll(u, -1, ai) - 2.0 * u + np.roll(u, 1, ai)) / hx2
+        for j in range(i + 1, g.d):
+            if A[i, j] != 0.0:
+                aj = lead + j
+                cross = (
+                    np.roll(np.roll(u, -1, ai), -1, aj)
+                    - np.roll(np.roll(u, -1, ai), 1, aj)
+                    - np.roll(np.roll(u, 1, ai), -1, aj)
+                    + np.roll(np.roll(u, 1, ai), 1, aj)
+                ) / (4.0 * hx2)
+                out += 2.0 * A[i, j] * cross
+    return out
+
+
+def _ref_phi_t_price(spec, P_j):
+    return np.einsum("kd...,k->d...", spec.phi, P_j)
+
+
+def _ref_upwind(spec, u_slice, g_shift):
+    g = spec.grid
+    xi_sq = np.zeros_like(u_slice)
+    xi = np.zeros((g.d, *g.space_shape))
+    for i in range(g.d):
+        dp = (np.roll(u_slice, -1, axis=i) - u_slice) / g.hx
+        dm = (u_slice - np.roll(u_slice, 1, axis=i)) / g.hx
+        a = np.maximum(dm + g_shift[i], 0.0)
+        b = np.minimum(dp + g_shift[i], 0.0)
+        xi_sq += a * a + b * b
+        xi[i] = a + b
+    return xi_sq, xi
+
+
+def _ref_diffusion_cfl(spec):
+    g, A = spec.grid, spec.A
+    off = float(np.sum(np.abs(A)) - np.trace(np.abs(A)))
+    return 2.0 * float(np.trace(A)) / g.hx**2 + 2.0 * off / g.hx**2
+
+
+def _ref_solve_hjb(m, P, spec, opts=PicardOptions()):
+    g = spec.grid
+    u = np.empty(g.scalar_shape)
+    u[g.nt] = spec.uT
+    fm = spec.coupling_f(np.maximum(m, 0.0))
+    diff_rate = _ref_diffusion_cfl(spec)
+    for j in range(g.nt - 1, -1, -1):
+        g_shift = _ref_phi_t_price(spec, P[j])
+        n_sub = 1
+        while True:
+            dt = g.ht / n_sub
+            cur = u[j + 1].copy()
+            ok = True
+            for _ in range(n_sub):
+                xi_sq, _ = _ref_upwind(spec, cur, g_shift)
+                norm = np.sqrt(xi_sq)
+                speed = float(np.max(spec.c * np.where(norm > 0.0, norm ** (spec.r - 1.0), 0.0)))
+                if dt * (g.d * speed / g.hx + diff_rate) > opts.cfl_safety * (1.0 + 1e-12):
+                    ok = False
+                    break
+                ham = spec.c * xi_sq ** (spec.r / 2.0) / spec.r
+                cur = cur + dt * (_ref_diffusion(g, spec.A, cur) - ham + fm[j + 1])
+            if ok:
+                break
+            n_sub *= 2
+        u[j] = cur
+    return u
+
+
+def _ref_feedback(u, P, spec):
+    g = spec.grid
+    v = np.empty(g.vector_shape)
+    for j in range(g.nt + 1):
+        _, xi = _ref_upwind(spec, u[j], _ref_phi_t_price(spec, P[j]))
+        v[j] = -spec.dH(xi)
+    return v
+
+
+def _ref_solve_fp(v, spec, opts=PicardOptions()):
+    g = spec.grid
+    m = np.empty(g.scalar_shape)
+    m[0] = spec.m0
+    diff_rate = _ref_diffusion_cfl(spec)
+    for n in range(1, g.nt + 1):
+        drift = v[n - 1]
+        rate = g.d * float(np.max(np.abs(drift))) / g.hx + diff_rate
+        n_sub = max(1, int(np.ceil(rate * g.ht / opts.cfl_safety - 1e-12)))
+        dt = g.ht / n_sub
+        cur = m[n - 1].copy()
+        for _ in range(n_sub):
+            flux_div = np.zeros_like(cur)
+            for i in range(g.d):
+                v_face = 0.5 * (drift[i] + np.roll(drift[i], -1, axis=i))
+                flux = np.maximum(v_face, 0.0) * cur + np.minimum(v_face, 0.0) * np.roll(cur, -1, axis=i)
+                flux_div += (flux - np.roll(flux, 1, axis=i)) / g.hx
+            cur = cur - dt * flux_div + dt * _ref_diffusion(g, spec.A, cur)
+        m[n] = cur
+    return m
+
+
+def _ref_update_price(m, v, spec):
+    g = spec.grid
+    phi_flat = spec.phi.reshape(spec.k, g.d, g.n_space)
+    P = np.empty((g.nt + 1, spec.k))
+    for j in range(g.nt + 1):
+        z = np.einsum("kds,ds->k", phi_flat, (v[j] * m[j]).reshape(g.d, g.n_space)) * g.cell_volume
+        P[j] = spec.Psi(z)
+    return P
+
+
+def _stage_pairs(spec, m, P):
+    """(new, reference) output pairs of the four stages, chained from (m, P)."""
+    u_ref = _ref_solve_hjb(m, P, spec)
+    v_ref = _ref_feedback(u_ref, P, spec)
+    m_ref = _ref_solve_fp(v_ref, spec)
+    return {
+        "solve_hjb": (solve_hjb(m, P, spec), u_ref),
+        "feedback": (feedback(u_ref, P, spec), v_ref),
+        "solve_fp": (solve_fp(v_ref, spec), m_ref),
+        "update_price": (update_price(m_ref, v_ref, spec), _ref_update_price(m_ref, v_ref, spec)),
+    }
+
+
+def test_vectorised_stages_match_reference_2d_diffusion():
+    g = Grid(d=2, nx=8, nt=4, T=1.0)
+    rng = np.random.default_rng(11)
+    X, Y = g.meshgrid()
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, k=2, c=0.5,
+                       phi=1.0 + 0.3 * rng.standard_normal((2, 2, 8, 8)),
+                       A=np.array([[0.01, 0.004], [0.004, 0.01]]),
+                       m0=1.0 + 0.5 * np.cos(2 * np.pi * X), uT=np.sin(2 * np.pi * Y))
+    m = np.abs(1.0 + 0.3 * rng.standard_normal(g.scalar_shape))
+    P = 0.5 * rng.standard_normal((g.nt + 1, 2))
+    for name, (new, ref) in _stage_pairs(spec, m, P).items():
+        assert new.shape == ref.shape, name
+        assert np.max(np.abs(new - ref)) <= 1e-14, name
+
+
+def test_vectorised_stages_bit_identical_on_bump(bump_spec):
+    g = bump_spec.grid
+    m = np.broadcast_to(bump_spec.m0, g.scalar_shape).copy()
+    P = 0.2 * np.sin(np.linspace(0.0, 3.0, g.nt + 1))[:, None]
+    for name, (new, ref) in _stage_pairs(bump_spec, m, P).items():
+        assert np.array_equal(new, ref), name
+
+
+def test_picard_options_validation():
+    for bad in ({"max_outer": 0}, {"max_substeps": 0}, {"damping": 0.0}, {"cfl_safety": 1.5}):
+        with pytest.raises(InvalidOption):
+            PicardOptions(**bad)

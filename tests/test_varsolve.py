@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgcontrols.errors import StepSizeViolation
+from mfgcontrols.errors import InvalidOption, StepSizeViolation
 from mfgcontrols.grid import Grid, grad_values
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
@@ -231,3 +231,10 @@ def test_weak_duality_feasible_pairs(uniform_spec):
         m_other = np.abs(rng.standard_normal(g.scalar_shape)) + 0.1
         gamma = spec.coupling_f(m_other)
         assert B + eval_D(u, P, gamma, spec) >= -1e-8
+
+
+@pytest.mark.parametrize("bad", [{"over_relaxation": 3.0}, {"over_relaxation": 0.0},
+                                 {"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
+def test_solver_options_validation(bad):
+    with pytest.raises(InvalidOption):
+        SolverOptions(**bad)

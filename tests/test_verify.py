@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from mfgcontrols.errors import PerspectiveViolation
+from mfgcontrols.errors import NotPSD, PerspectiveViolation
+from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
-from mfgcontrols.varsolve import Solution, SolverOptions
+from mfgcontrols.model import ProblemSpec
+from mfgcontrols.picard import picard_iterate, solve_fp, solve_hjb
+from mfgcontrols.varsolve import Solution, SolverOptions, solve_primal_dual
 from mfgcontrols.verify import (
     complementarity_value,
     random_feasible_init,
@@ -120,3 +123,24 @@ def test_random_feasible_init_contract(uni8):
     assert np.max(np.abs(masses - 1.0)) <= 1e-12
     assert np.min(sol.m) >= 0.0
     assert np.all(sol.w[0] == 0.0)
+
+
+@pytest.mark.parametrize("d,A", [(1, [[-0.01]]), (2, [[0.01, 0.0], [0.0, -1e-6]]), (2, [[0.01, 0.005], [0.0, 0.01]])])
+def test_solver_entries_reject_non_psd_diffusion(d, A):
+    # A is validated once per entry rather than inside the stencil; every
+    # entry that applies diffusion must still refuse a non-PSD matrix
+    g = Grid(d=d, nx=8, nt=4, T=1.0)
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, A=np.array(A), m0=np.ones(g.space_shape))
+    sol = Solution(grid=g, u=np.zeros(g.scalar_shape), m=np.ones(g.scalar_shape),
+                   w=np.zeros(g.vector_shape), P=np.zeros((g.nt + 1, 1)), gamma=np.ones(g.scalar_shape))
+    entries = {
+        "solve_primal_dual": lambda: solve_primal_dual(spec, SolverOptions(max_iter=5)),
+        "picard_iterate": lambda: picard_iterate(spec),
+        "solve_hjb": lambda: solve_hjb(sol.m, sol.P, spec),
+        "solve_fp": lambda: solve_fp(sol.w, spec),
+        "weak_solution_report": lambda: weak_solution_report(sol, spec),
+    }
+    for name, call in entries.items():
+        with pytest.raises(NotPSD):
+            call()
+            pytest.fail(f"{name} accepted a non-PSD A")
