@@ -25,7 +25,7 @@ from .errors import (
     ShiftTooLarge,
     StepSizeViolation,
 )
-from .grid import Grid, ScalarField, VectorField, divergence, diffusion_apply, gradient, integrate_Q, integrate_space
+from .grid import Grid
 from .model import CaseInfo, ProblemSpec, check_assumptions, classify_exponents
 from .prox import prox_F, prox_kinetic, prox_kinetic_congestion, prox_Phi_star
 from .varsolve import ConvergenceLog, Solution, SolverOptions, aggregate_flux, eval_B, eval_D, fp_constraint, solve_primal_dual

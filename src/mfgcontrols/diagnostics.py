@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeltaNotOnGrid, ShiftTooLarge
-from .grid import grad_values, integrate_Q, ScalarField, shift
+from .grid import grad_values, integrate_space_values, shift
 from .model import ProblemSpec, power_gradient
 from .varsolve import Solution
 
@@ -57,7 +57,8 @@ def j2(zeta, spec: ProblemSpec):
 
 
 def _integrate_Q_values(grid, values) -> float:
-    return integrate_Q(ScalarField(grid, values))
+    """Space-time integral: hx^d-weighted sum in space, trapezoidal rule in time."""
+    return float(np.trapezoid(integrate_space_values(grid, values), dx=grid.ht))
 
 
 def space_regularity(sol: Solution, spec: ProblemSpec):

@@ -4,10 +4,11 @@ The domain is the flat torus in d = 1 or 2 dimensions crossed with [0, T].
 Space is discretized with Nx nodes per axis (mesh width hx = 1/Nx, periodic
 indexing), time with Nt intervals (step ht = T/Nt, Nt + 1 node slices).
 
-The differential operators form an exact adjoint pair: ``gradient`` is the
-forward difference per axis and ``divergence`` the backward difference, so
+The differential operators form an exact adjoint pair: ``grad_values`` is
+the forward difference per axis and ``div_values`` the backward
+difference, so
 
-    <gradient(u), w>_Q + <u, divergence(w)>_Q = 0
+    <grad_values(u), w>_Q + <u, div_values(w)>_Q = 0
 
 holds to rounding error, not merely to discretization order.  Discrete
 integration by parts, mass conservation and the duality identities used by
@@ -16,7 +17,7 @@ the solvers all rest on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,47 +98,7 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Real value per (time node, space node); houses u, m, gamma."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.scalar_shape:
-            raise ValueError(f"scalar field shape {v.shape} != {self.grid.scalar_shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field has non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.scalar_shape, float(value)))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """d-vector per (time node, space node), component axis first; houses w, v."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.vector_shape:
-            raise ValueError(f"vector field shape {v.shape} != {self.grid.vector_shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vector field has non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros(grid.vector_shape))
-
-
-# -- raw-array stencils; the spatial axes are the trailing d axes ------------
+# -- stencils; the spatial axes are the trailing d axes ------------------------
 
 
 def shift(u: np.ndarray, k: int, axis: int) -> np.ndarray:
@@ -224,35 +185,6 @@ def integrate_space_values(grid: Grid, f: np.ndarray) -> np.ndarray:
     """hx^d-weighted sum over the trailing d spatial axes."""
     axes = tuple(range(f.ndim - grid.d, f.ndim))
     return f.sum(axis=axes) * grid.cell_volume
-
-
-# -- typed wrappers ----------------------------------------------------------
-
-
-def gradient(u: ScalarField) -> VectorField:
-    """Forward-difference spatial gradient of a scalar field."""
-    return VectorField(u.grid, grad_values(u.grid, u.values))
-
-
-def divergence(w: VectorField) -> ScalarField:
-    """Backward-difference divergence; exact negative adjoint of gradient."""
-    return ScalarField(w.grid, div_values(w.grid, w.values))
-
-
-def diffusion_apply(A: np.ndarray, u: ScalarField) -> ScalarField:
-    """Apply the constant-coefficient second-order operator A_ij d_ij."""
-    return ScalarField(u.grid, diffusion_values(u.grid, check_psd(A, u.grid.d), u.values))
-
-
-def integrate_space(f: ScalarField, t_index: int) -> float:
-    """Torus integral of one time slice (unit volume torus)."""
-    return float(integrate_space_values(f.grid, f.values[t_index]))
-
-
-def integrate_Q(f: ScalarField) -> float:
-    """Space-time integral; trapezoidal rule in time."""
-    slices = integrate_space_values(f.grid, f.values)
-    return float(np.trapezoid(slices, dx=f.grid.ht))
 
 
 def inner_Q(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -9,7 +9,8 @@ respectively no kinetic term).
 
 All kernels are vectorized over arbitrary array shapes and reduce to
 monotone scalar equations solved by a bracketed method (closed forms where
-they exist).  Outputs satisfy m >= 0 exactly and (m = 0 implies w = 0).
+they exist), with the fixed tolerance NEWTON_TOL and iteration cap
+NEWTON_MAX.  Outputs satisfy m >= 0 exactly and (m = 0 implies w = 0).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from .errors import NoConvergence
 
 _BIG = 1.0e300
+NEWTON_TOL = 1e-12
+NEWTON_MAX = 60
 
 
 def _clamp(f):
@@ -68,7 +71,7 @@ def solve_increasing(fn, lo, hi, atol=1e-13, max_iter=100):
     return np.clip(x, a, b)
 
 
-def power_prox(nbar, lam, expo, newton_tol=1e-12, newton_max=60):
+def power_prox(nbar, lam, expo):
     """Solve rho + lam * rho**(expo-1) = nbar for rho >= 0 (zero when nbar <= 0).
 
     This is the prox of lam/expo * rho**expo restricted to rho >= 0; it is
@@ -84,24 +87,24 @@ def power_prox(nbar, lam, expo, newton_tol=1e-12, newton_max=60):
     def f(rho):
         return rho + lam * rho ** (expo - 1.0) - nb
 
-    root = solve_increasing(f, np.zeros_like(nb), nb, atol=newton_tol, max_iter=newton_max + 40)
+    root = solve_increasing(f, np.zeros_like(nb), nb, atol=NEWTON_TOL, max_iter=NEWTON_MAX + 40)
     resid = np.abs(np.where(pos, f(root), 0.0))
     if np.any(resid > 1e-9 * (1.0 + np.abs(nbar))):
         raise NoConvergence(f"power_prox residual {resid.max():.3e}")
     return np.where(pos, root, 0.0)
 
 
-def prox_F(mbar, tau, theta, q, newton_tol=1e-12, newton_max=60):
+def prox_F(mbar, tau, theta, q):
     """Congestion prox: the unique m >= 0 with m + tau*theta*m**(q-1) = mbar.
 
     Returns 0 for mbar <= 0.  Closed form mbar/(1 + tau*theta) when q = 2.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    return power_prox(mbar, tau * np.asarray(theta, dtype=float), q, newton_tol, newton_max)
+    return power_prox(mbar, tau * np.asarray(theta, dtype=float), q)
 
 
-def prox_Phi_star(Pbar, sigma_step, kappa_phi, s, newton_tol=1e-12, newton_max=60):
+def prox_Phi_star(Pbar, sigma_step, kappa_phi, s):
     """Radial prox of the conjugate price potential (components on the last axis).
 
     kappa_phi = 0 selects the degenerate potential (conjugate = indicator of
@@ -115,18 +118,18 @@ def prox_Phi_star(Pbar, sigma_step, kappa_phi, s, newton_tol=1e-12, newton_max=6
     n = np.linalg.norm(Pbar, axis=-1, keepdims=True)
     s_prime = s / (s - 1.0)
     lam = sigma_step * kappa_phi ** (1.0 - s_prime)
-    rho = power_prox(n, lam, s_prime, newton_tol, newton_max)
+    rho = power_prox(n, lam, s_prime)
     n_safe = np.where(n > 0.0, n, 1.0)
     return rho / n_safe * Pbar
 
 
-def prox_Phi(zbar, lam, kappa_phi, s, newton_tol=1e-12, newton_max=60):
+def prox_Phi(zbar, lam, kappa_phi, s):
     """Radial prox of the price potential itself (used by the Moreau checks)."""
     zbar = np.asarray(zbar, dtype=float)
     if kappa_phi == 0.0:
         return zbar.copy()
     n = np.linalg.norm(zbar, axis=-1, keepdims=True)
-    rho = power_prox(n, lam * kappa_phi, s, newton_tol, newton_max)
+    rho = power_prox(n, lam * kappa_phi, s)
     n_safe = np.where(n > 0.0, n, 1.0)
     return rho / n_safe * zbar
 
@@ -162,7 +165,7 @@ def _outer_G(m, mbar, wnorm, tau, c, r, theta, q):
     return m - mbar + cong - kin_slope
 
 
-def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0, newton_tol=1e-12, newton_max=60):
+def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     """Exact prox of tau * [m H*(x, -w/m) + theta m^q / q] over m >= 0.
 
     wbar carries its components on the *first* axis; mbar has the remaining
@@ -189,7 +192,7 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0, newton_tol=
     wn = np.where(apex, 0.0, wnorm)
 
     if r == 2.0 and q == 2.0:
-        m = _newton_quadratic(mb, wn, tau, c, theta, newton_tol, newton_max)
+        m = _newton_quadratic(mb, wn, tau, c, theta)
     else:
         r_prime = r / (r - 1.0)
         cp = c ** (1.0 - r_prime)
@@ -198,7 +201,7 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0, newton_tol=
         def G(m):
             return _outer_G(m, mb, wn, tau, c, r, theta, q)
 
-        m = solve_increasing(G, np.zeros_like(mb), hi, atol=newton_tol)
+        m = solve_increasing(G, np.zeros_like(mb), hi, atol=NEWTON_TOL)
     m = np.where(apex, 0.0, m)
     rho = _rho_inner(m, wnorm, tau, c, r)
     wn_safe = np.where(wnorm > 0.0, wnorm, 1.0)
@@ -206,14 +209,14 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0, newton_tol=
     return m, w
 
 
-def _newton_quadratic(mbar, wnorm, tau, c, theta, newton_tol, newton_max):
+def _newton_quadratic(mbar, wnorm, tau, c, theta):
     """Monotone Newton for q = r = 2: G is increasing and concave on m >= 0."""
     m = np.zeros_like(mbar)
     scale = 1.0 + np.abs(mbar)
-    for _ in range(newton_max):
+    for _ in range(NEWTON_MAX):
         den = c * m + tau
         G = (1.0 + tau * theta) * m - mbar - tau * c * wnorm**2 / (2.0 * den**2)
-        if np.all(np.abs(G) <= newton_tol * scale):
+        if np.all(np.abs(G) <= NEWTON_TOL * scale):
             break
         dG = 1.0 + tau * theta + tau * c**2 * wnorm**2 / den**3
         m = np.maximum(m - G / dG, 0.0)
@@ -225,9 +228,9 @@ def _newton_quadratic(mbar, wnorm, tau, c, theta, newton_tol, newton_max):
     return m
 
 
-def prox_kinetic(mbar, wbar, tau, c, r, newton_tol=1e-12, newton_max=60):
+def prox_kinetic(mbar, wbar, tau, c, r):
     """Prox of the pure perspective kinetic cost tau * m H*(x, -w/m)."""
-    return prox_kinetic_congestion(mbar, wbar, tau, c, r, 0.0, 2.0, newton_tol, newton_max)
+    return prox_kinetic_congestion(mbar, wbar, tau, c, r, 0.0, 2.0)
 
 
 def kinetic_kkt_residual(m, w, mbar, wbar, tau, c, r, theta=0.0, q=2.0):

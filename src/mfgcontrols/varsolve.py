@@ -22,8 +22,8 @@ a genuine optimality certificate.
 The iteration is the standard primal-dual hybrid gradient loop: a plain
 shift step on the transport multiplier u, the radial conjugate-potential
 prox on the price P, and the exact pointwise prox of kinetic + congestion
-on (m, w), with over-relaxed extrapolation.  Step sizes obey
-tau * sigma * L^2 <= 1 with L estimated by power iteration.
+on (m, w), with extrapolation m + (m - m_prev).  Step sizes obey
+tau * sigma * L^2 <= 1 with L bounded in closed form.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class Solution:
 class SolverOptions:
     """Step sizes and termination for the saddle-point loop.
 
-    tau / sigma_step default to the balanced choice 0.99/L from the power
-    iteration estimate; explicit values are checked against
+    tau / sigma_step default to the balanced choice 0.99/L from the
+    closed-form bound on L; explicit values are checked against
     tau * sigma * L^2 <= 1.
     """
 
@@ -87,15 +87,9 @@ class SolverOptions:
     sigma_step: float | None = None
     max_iter: int = 20000
     tol_gap: float = 1e-6
-    over_relaxation: float = 1.0
-    newton_tol: float = 1e-12
-    newton_max: int = 60
     step_ratio: float = 1.0
-    power_iters: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.over_relaxation <= 1.0:
-            raise InvalidOption("over_relaxation must lie in (0, 1]")
         if not self.tol_gap >= 0.0:
             raise InvalidOption("tol_gap must be >= 0")
         if self.max_iter < 1:
@@ -183,23 +177,6 @@ def fp_constraint(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> np.ndarray
     return out
 
 
-def fp_adjoint(U: np.ndarray, spec: ProblemSpec):
-    """Adjoint of fp_constraint in the plain Euclidean pairing.
-
-    U is slotted like the constraint output (slot 0: initial-slice
-    multiplier, slot n: interval-n multiplier).  Returns (gm, gw) with
-    <fp_constraint(m, w), U> = <gm, m> + <gw, w> - <U[0], m0>, the last term
-    being the data boundary term.
-    """
-    g = spec.grid
-    gm = np.empty(g.scalar_shape)
-    gw = np.zeros(g.vector_shape)
-    gm[0] = U[0] - U[1] / g.ht
-    gm[1:] = _adjoint_m(spec, U[1:])
-    gw[1:] = _adjoint_w(spec, U[1:])
-    return gm, gw
-
-
 # -- internal interval-variable operators --------------------------------------
 
 
@@ -207,8 +184,8 @@ def _constraint(spec, m, w, m_start=None):
     """R[i]: residual of interval i+1 from interval variables m, w (nt, ...).
 
     m_start is the density slice the first interval starts from, m0 by
-    default; 0 gives the linear part (the norm estimate), and fp_constraint
-    passes its own slot-0 density.
+    default; 0 gives the linear part, and fp_constraint passes its own
+    slot-0 density.
     """
     g = spec.grid
     R = np.empty_like(m)
@@ -219,6 +196,7 @@ def _constraint(spec, m, w, m_start=None):
     R += div_values(g, w)
     return R
 
+
 def _adjoint_m(spec, u):
     g = spec.grid
     gm = u / g.ht
@@ -227,37 +205,42 @@ def _adjoint_m(spec, u):
     gm[:-1] -= u[1:] / g.ht
     return gm
 
+
 def _adjoint_w(spec, u):
     return -grad_values(spec.grid, u)
 
 
-def estimate_operator_norm(spec: ProblemSpec, iters: int = 50, seed: int = 0, include_price: bool = True) -> float:
-    """Power iteration for the constraint-plus-aggregation operator norm.
+def estimate_operator_norm(spec: ProblemSpec, include_price: bool = True) -> float:
+    """Closed-form upper bound on the constraint-plus-aggregation operator norm.
 
-    Uses the weighted inner products (ht hx^d on fields, ht on price paths)
-    in which the prox steps are pointwise.
+    The norm is taken in the weighted inner products (ht hx^d on fields, ht
+    on price paths) in which the prox steps are pointwise.  Every stencil
+    has constant coefficients, so the spatial DFT diagonalises the
+    constraint: for mode theta the divergence has squared symbol
+    beta = sum_i (2 sin(theta_i/2)/hx)^2, the diffusion term has symbol
+    lam = sum_i A_ii (2 sin(theta_i/2)/hx)^2 + sum_{i<j} 2 A_ij sin theta_i sin theta_j / hx^2
+    (>= 0 for PSD A), and the time part is the nt x nt bidiagonal D + lam I,
+    D = (I - subdiagonal)/ht.  The squared constraint norm of the mode is
+    ||D + lam I||^2 + beta.  A +-1 diagonal similarity makes D + lam I
+    entrywise nonnegative, so its norm grows with lam and
+    ||D + max(lam) I||^2 + max(beta) bounds every mode.  The aggregation
+    rows act per time slice with squared norm lambda_max(hx^d sum_x phi phi^T),
+    the k x k Gram matrix of the kernel, and ||[K; G]||^2 <= ||K||^2 + ||G||^2.
     """
     g = spec.grid
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((g.nt, *g.space_shape))
-    w = rng.standard_normal((g.nt, g.d, *g.space_shape))
-    lam2 = 0.0
-    vol = g.cell_volume
-    for _ in range(iters):
-        R = _constraint(spec, m, w, 0.0)
-        Z = aggregate_flux(w, spec) if include_price else None
-        gm = _adjoint_m(spec, R)
-        gw = _adjoint_w(spec, R)
-        if include_price:
-            gw = gw + spec.phi_transpose_price(Z)
-        ny2 = float(np.sum(R * R)) * g.ht * vol
-        if include_price:
-            ny2 += float(np.sum(Z * Z)) * g.ht
-        nx2 = (float(np.sum(m * m)) + float(np.sum(w * w))) * g.ht * vol
-        lam2 = ny2 / nx2
-        nrm = np.sqrt((float(np.sum(gm * gm)) + float(np.sum(gw * gw))) * g.ht * vol)
-        m, w = gm / nrm, gw / nrm
-    return float(np.sqrt(lam2))
+    theta = np.meshgrid(*[2.0 * np.pi * np.arange(g.nx) / g.nx] * g.d, indexing="ij")
+    a2 = [(2.0 * np.sin(th / 2.0) / g.hx) ** 2 for th in theta]
+    beta = sum(a2)
+    lam = sum(spec.A[i, i] * a2[i] for i in range(g.d))
+    for i in range(g.d):
+        for j in range(i + 1, g.d):
+            lam = lam + 2.0 * spec.A[i, j] * np.sin(theta[i]) * np.sin(theta[j]) / g.hx**2
+    time_part = (1.0 / g.ht + np.max(lam)) * np.eye(g.nt) - np.eye(g.nt, k=-1) / g.ht
+    L2 = np.linalg.norm(time_part, 2) ** 2 + np.max(beta)
+    if include_price:
+        phi = spec.phi.reshape(spec.k, -1)
+        L2 += np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1]
+    return float(np.sqrt(L2))
 
 
 def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.ndarray:
@@ -319,7 +302,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     g = spec.grid
     check_psd(spec.A, g.d)
 
-    L = estimate_operator_norm(spec, iters=opts.power_iters, include_price=include_price)
+    L = estimate_operator_norm(spec, include_price=include_price)
     if opts.tau is None or opts.sigma_step is None:
         tau = 0.99 * opts.step_ratio / L
         sigma = 0.99 / (opts.step_ratio * L)
@@ -337,7 +320,6 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         p = init.P[: g.nt].copy()
 
     mb, wb = m.copy(), w.copy()
-    theta_pd = opts.over_relaxation
     uT_shift = tau * spec.uT / g.ht
     log = ConvergenceLog(operator_norm=L)
     log.m_min = float(np.min(m))
@@ -347,8 +329,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         # dual ascent at the extrapolated primal point
         u += sigma * _constraint(spec, mb, wb)
         if include_price:
-            p = prox_Phi_star(p + sigma * aggregate_flux(wb, spec), sigma, spec.kappa_phi, spec.s,
-                              opts.newton_tol, opts.newton_max)
+            p = prox_Phi_star(p + sigma * aggregate_flux(wb, spec), sigma, spec.kappa_phi, spec.s)
         else:
             p.fill(0.0)
 
@@ -357,12 +338,11 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         gw = w - tau * (_adjoint_w(spec, u) + (spec.phi_transpose_price(p) if include_price else 0.0))
         gm[-1] -= uT_shift
         m_new, w_new = prox_kinetic_congestion(
-            gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q,
-            opts.newton_tol, opts.newton_max,
+            gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q
         )
         w_new = np.moveaxis(w_new, 0, 1)
-        mb = m_new + theta_pd * (m_new - m)
-        wb = w_new + theta_pd * (w_new - w)
+        mb = m_new + (m_new - m)
+        wb = w_new + (w_new - w)
         m, w = m_new, w_new
 
         # certificates

@@ -5,12 +5,11 @@ refinement down to step 1e-4 and below), and a small-grid equilibrium
 oracle: projected gradient descent (Armijo, FISTA-type acceleration) on the
 discretized primal cost with a quadratic penalty on the transport
 constraint, refined by multiplier updates between penalty subproblems.
-None of these share solver machinery with the primal-dual path.
+None of these share solver machinery with the primal-dual path: the
+equilibrium oracle assembles its own dense transport matrix.
 """
 
 import numpy as np
-
-from mfgcontrols.varsolve import _adjoint_m, _adjoint_w, _constraint
 
 
 def refine_minimize_1d(f, lo, hi, stages=5, pts=500):
@@ -77,6 +76,23 @@ def brute_prox_kinetic(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
 # -- small-grid equilibrium oracle -------------------------------------------
 
 
+def transport_matrix(spec):
+    """Dense (C, b) with C [m; w] - b the transport residual (1-D, A = 0).
+
+    m and w are flattened from the interval layout (nt, nx); row t*nx + x is
+    (m_t(x) - m_{t-1}(x))/ht + (w_t(x) - w_t(x-1))/hx with m_{-1} = m0.
+    """
+    g = spec.grid
+    assert g.d == 1 and not np.any(spec.A), "the oracle covers 1-D instances with A = 0"
+    eye_x = np.eye(g.nx)
+    dt = (np.eye(g.nt) - np.eye(g.nt, k=-1)) / g.ht
+    div = (eye_x - np.roll(eye_x, 1, axis=0)) / g.hx
+    C = np.hstack([np.kron(dt, eye_x), np.kron(np.eye(g.nt), div)])
+    b = np.zeros(g.nt * g.nx)
+    b[: g.nx] = spec.m0 / g.ht
+    return C, b
+
+
 def _primal_value_grad(spec, m, w):
     """Value and gradient of the primal cost for q = r = 2 instances, m > 0."""
     g = spec.grid
@@ -106,13 +122,19 @@ def equilibrium_oracle(spec, outer=20, inner=2000, rho=50.0):
     assert spec.q == 2.0 and spec.r == 2.0, "oracle hardcodes the quadratic family"
     g = spec.grid
     ht, vol = g.ht, g.cell_volume
+    C, b = transport_matrix(spec)
+    n_m = g.nt * g.nx
+
+    def residual(m, w):
+        return (C @ np.concatenate([m.ravel(), w.ravel()]) - b).reshape(m.shape)
 
     def al(m, w, u):
-        R = _constraint(spec, m, w)
+        R = residual(m, w)
         val, gm, gw = _primal_value_grad(spec, m, w)
         val += float(np.sum(u * R)) * ht * vol + 0.5 * rho * float(np.sum(R * R)) * ht * vol
-        gm += _adjoint_m(spec, u + rho * R)
-        gw += _adjoint_w(spec, u + rho * R)
+        adj = C.T @ (u + rho * R).ravel()
+        gm += adj[:n_m].reshape(m.shape)
+        gw += adj[n_m:].reshape(w.shape)
         return val, gm, gw
 
     m = np.broadcast_to(spec.m0, (g.nt, *g.space_shape)).copy()
@@ -144,5 +166,5 @@ def equilibrium_oracle(spec, outer=20, inner=2000, rho=50.0):
                 tk = t_next
             f_prev = f_t
             m, w = m_t, w_t
-        u = u + rho * _constraint(spec, m, w)
+        u = u + rho * residual(m, w)
     return m, w, u

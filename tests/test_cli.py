@@ -214,6 +214,23 @@ def test_solve_invalid_option_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", BUMP_CFG, "--out", "RUN", "--tol", "-1e-3"],
+    ["bogus"],
+    ["solve"],
+])
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([str(out) if a == "RUN" else a for a in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_probe_invalid_n_inits_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg")
     assert main(["probe-uniqueness", cfg, "--n-inits", "0"]) == 1
