@@ -94,6 +94,12 @@ class SolverOptions:
             raise InvalidOption("tol_gap must be >= 0")
         if self.max_iter < 1:
             raise InvalidOption("max_iter must be >= 1")
+        if not 0.0 < self.step_ratio < np.inf:
+            raise InvalidOption("step_ratio must be positive and finite")
+        for name in ("tau", "sigma_step"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise InvalidOption(f"{name} must be positive")
 
 
 @dataclass

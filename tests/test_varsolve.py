@@ -291,7 +291,8 @@ def test_weak_duality_feasible_pairs(uniform_spec):
         assert B + eval_D(u, P, gamma, spec) >= -1e-8
 
 
-@pytest.mark.parametrize("bad", [{"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
+@pytest.mark.parametrize("bad", [{"step_ratio": 0.0}, {"tau": -0.1, "sigma_step": 0.1},
+                                 {"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
 def test_solver_options_validation(bad):
     with pytest.raises(InvalidOption):
         SolverOptions(**bad)
