@@ -28,7 +28,7 @@ from .errors import (
 from .grid import Grid
 from .model import CaseInfo, ProblemSpec, check_assumptions, classify_exponents
 from .prox import prox_F, prox_kinetic, prox_kinetic_congestion, prox_Phi_star
-from .varsolve import ConvergenceLog, Solution, SolverOptions, aggregate_flux, eval_B, eval_D, fp_constraint, solve_primal_dual
+from .varsolve import ConvergenceLog, Solution, SolverOptions, eval_B, eval_D, solve_primal_dual
 from .picard import PicardOptions, PicardResult, feedback, picard_iterate, solve_fp, solve_hjb, update_price
 from .verify import ResidualReport, complementarity_value, uniqueness_probe, weak_solution_report
 from .diagnostics import RegularityRecord, diagnose, space_regularity, space_shift_sum, time_shift_sum

@@ -66,10 +66,13 @@ def _read_csv(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    except ValueError:
-        raise MissingArtifact(f"{path}: rows with a wrong column count") from None
-    return np.atleast_2d(data)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # a wrong column count or a non-numeric value
+        raise MissingArtifact(f"{path}: malformed row: {str(exc).split(';')[0]}") from None
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        raise MissingArtifact(f"{path}: malformed row: non-finite value on line {bad[0] + 2}")
+    return data
 
 
 def read_scalar_csv(path: str, grid: Grid) -> np.ndarray:

@@ -8,9 +8,10 @@ congestion costs; the two pure kernels are its special cases (theta = 0,
 respectively no kinetic term).
 
 All kernels are vectorized over arbitrary array shapes and reduce to
-monotone scalar equations solved by a bracketed method (closed forms where
-they exist), with the fixed tolerance NEWTON_TOL and iteration cap
-NEWTON_MAX.  Outputs satisfy m >= 0 exactly and (m = 0 implies w = 0).
+monotone scalar equations: closed forms where they exist, monotone Newton
+(tolerance NEWTON_TOL, at most NEWTON_MAX steps) for q = r = 2, and
+bracketed bisection (``solve_increasing``) otherwise.  Outputs satisfy
+m >= 0 exactly and (m = 0 implies w = 0).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def _clamp(f):
     return np.nan_to_num(f, nan=0.0, posinf=_BIG, neginf=-_BIG)
 
 
-def solve_increasing(fn, lo, hi, atol=1e-13, max_iter=100):
+def solve_increasing(fn, lo, hi, max_iter=100):
     """Vectorized root of an increasing function on bracketing arrays.
 
     Requires fn(lo) <= 0 <= fn(hi) componentwise (entries violating this are
-    clamped to the nearer endpoint).  Plain bisection with a few secant
-    polishing steps at the end: fully robust, precision limited only by the
-    bracket width.
+    clamped to the nearer endpoint).  Bisection stops once every bracket
+    [a, b] is at most 1e-16 (1 + |b|) wide or after max_iter halvings; four
+    secant steps inside the final bracket then polish the root.
     """
     a = np.array(np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))[0], dtype=float)
     b = np.array(np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))[1], dtype=float)
@@ -87,7 +88,7 @@ def power_prox(nbar, lam, expo):
     def f(rho):
         return rho + lam * rho ** (expo - 1.0) - nb
 
-    root = solve_increasing(f, np.zeros_like(nb), nb, atol=NEWTON_TOL, max_iter=NEWTON_MAX + 40)
+    root = solve_increasing(f, np.zeros_like(nb), nb, max_iter=NEWTON_MAX + 40)
     resid = np.abs(np.where(pos, f(root), 0.0))
     if np.any(resid > 1e-9 * (1.0 + np.abs(nbar))):
         raise NoConvergence(f"power_prox residual {resid.max():.3e}")
@@ -201,7 +202,7 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
         def G(m):
             return _outer_G(m, mb, wn, tau, c, r, theta, q)
 
-        m = solve_increasing(G, np.zeros_like(mb), hi, atol=NEWTON_TOL)
+        m = solve_increasing(G, np.zeros_like(mb), hi)
     m = np.where(apex, 0.0, m)
     rho = _rho_inner(m, wnorm, tau, c, r)
     wn_safe = np.where(wnorm > 0.0, wnorm, 1.0)

@@ -9,10 +9,11 @@ over the transport constraint
 
     (m_n - m_{n-1})/ht - A_ij d_ij m_n + div w_n = 0,   m_0 = m0,
 
-with the perspective convention at m = 0.  Interval n carries its m, w and
-gamma values at the right time node n and its dual u, P values at the left
-node n-1; with the exact adjoint pair of the grid module this makes the
-discrete duality
+with the perspective convention at m = 0.  Functionals and residuals take
+interval fields of nt slices: interval n carries its m, w and gamma values
+at the right time node n and its dual u, P values at the left node n-1
+(``Solution`` keeps the (nt+1)-slot artifact layout).  With the exact
+adjoint pair of the grid module this makes the discrete duality
 
     min B = -min D,   D(u, P, gamma) = -<u(0), m0> + sum ht Phi*(P) + sum ht <F*(gamma)>
 
@@ -20,10 +21,13 @@ an exact finite-dimensional identity, so the duality gap of the iterates is
 a genuine optimality certificate.
 
 The iteration is the standard primal-dual hybrid gradient loop: a plain
-shift step on the transport multiplier u, the radial conjugate-potential
-prox on the price P, and the exact pointwise prox of kinetic + congestion
-on (m, w), with extrapolation m + (m - m_prev).  Step sizes obey
-tau * sigma * L^2 <= 1 with L bounded in closed form.
+shift step on the transport multiplier u (held with the paper's sign, so the
+step is u -= sigma R), the radial conjugate-potential prox on the price P,
+and the exact pointwise prox of kinetic + congestion on (m, w).  The
+transport residual R and the aggregated flux Z are affine in (m, w) and the
+extrapolation m + (m - m_prev) has weights summing to one, so the dual step
+extrapolates the certificate's own R and Z instead of re-evaluating them.
+Step sizes obey tau * sigma * L^2 <= 1 with L bounded in closed form.
 """
 
 from __future__ import annotations
@@ -145,42 +149,43 @@ def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np
 
 
 def eval_B(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> float:
-    """Primal cost on full (nt+1)-slotted fields; +inf on m < 0 or convention breach."""
+    """Primal cost of interval fields; +inf on m < 0 or convention breach."""
     g = spec.grid
     if np.min(m) < 0.0:
         return np.inf
-    kin = kinetic_energy_values(spec, m[1:], w[1:])
+    kin = kinetic_energy_values(spec, m, w)
     if np.any(np.isinf(kin)):
         return np.inf
-    body = kin + spec.F(m[1:])
+    body = kin + spec.F(m)
     total = float(np.sum(body) * g.ht * g.cell_volume)
     if not spec.price_free:
-        z = aggregate_flux(w, spec)[1:]
-        total += float(np.sum(spec.Phi(z)) * g.ht)
-    total += float(np.sum(spec.uT * m[g.nt]) * g.cell_volume)
+        total += float(np.sum(spec.Phi(spec.aggregate_kernel(w))) * g.ht)
+    total += float(np.sum(spec.uT * m[-1]) * g.cell_volume)
     return total
 
 
 def eval_D(u: np.ndarray, P: np.ndarray, gamma: np.ndarray, spec: ProblemSpec) -> float:
-    """Dual cost on full (nt+1)-slotted fields (interval slots as documented)."""
+    """Dual cost of interval fields (u, P at left nodes, gamma at right nodes)."""
     g = spec.grid
     total = -float(np.sum(u[0] * spec.m0) * g.cell_volume)
-    total += float(np.sum(spec.Phi_star(P[: g.nt])) * g.ht)
-    total += float(np.sum(spec.F_star(gamma[1:])) * g.ht * g.cell_volume)
+    total += float(np.sum(spec.Phi_star(P)) * g.ht)
+    total += float(np.sum(spec.F_star(gamma)) * g.ht * g.cell_volume)
     return total
 
 
-def aggregate_flux(w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Aggregated control flux z_n = int phi(x) w_n(x) dx per time node -> (nt+1, k)."""
-    return spec.aggregate_kernel(w)
+def residuals(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, P: np.ndarray, m_start=None):
+    """Transport residual R and aggregated flux Z of interval fields with their L1 norms.
 
-
-def fp_constraint(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Transport residual, (nt+1)-slotted: slice 0 is m_0 - m0, slice n the interval residual."""
-    out = np.empty(spec.grid.scalar_shape)
-    out[0] = m[0] - spec.m0
-    out[1:] = _constraint(spec, m[1:], w[1:], m[0])
-    return out
+    Returns (R, Z, fp_res, price_res): fp_res = sum ht hx^d |R| and
+    price_res = sum ht |P - Psi(Z)|.  The saddle-point loop and the
+    verifier certify with these same numbers.
+    """
+    g = spec.grid
+    R = _constraint(spec, m, w, m_start)
+    Z = spec.aggregate_kernel(w)
+    fp_res = float(np.sum(np.abs(R)) * g.ht * g.cell_volume)
+    price_res = float(np.sum(np.linalg.norm(P - spec.Psi(Z), axis=-1)) * g.ht)
+    return R, Z, fp_res, price_res
 
 
 # -- internal interval-variable operators --------------------------------------
@@ -190,8 +195,10 @@ def _constraint(spec, m, w, m_start=None):
     """R[i]: residual of interval i+1 from interval variables m, w (nt, ...).
 
     m_start is the density slice the first interval starts from, m0 by
-    default; 0 gives the linear part, and fp_constraint passes its own
-    slot-0 density.
+    default; 0 gives the linear part, and the verifier passes the slot-0
+    density of the solution it checks.  R is affine in (m, w), so R at an
+    affine combination with weights summing to one is the same combination
+    of the R values; the saddle-point loop extrapolates R this way.
     """
     g = spec.grid
     R = np.empty_like(m)
@@ -266,19 +273,14 @@ def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.nd
     return gam
 
 
-def _full_fields(spec, m, w):
+def _finalize(spec, m, w, u, p) -> Solution:
+    """(nt+1)-slot artifact layout: slot 0 holds m0 and zero momentum, slot nt
+    of u the terminal cost and slot nt of P the price Psi(Z_nt)."""
     g = spec.grid
     m_full = np.concatenate([spec.m0[None], m], axis=0)
     w_full = np.concatenate([np.zeros((1, g.d, *g.space_shape)), w], axis=0)
-    return m_full, w_full
-
-
-def _finalize(spec, m, w, u_cp, p) -> Solution:
-    g = spec.grid
-    m_full, w_full = _full_fields(spec, m, w)
-    u_full = np.concatenate([-u_cp, spec.uT[None]], axis=0)
-    z_last = spec.aggregate_kernel(w[-1])
-    P_full = np.concatenate([p, spec.Psi(z_last)[None]], axis=0)
+    u_full = np.concatenate([u, spec.uT[None]], axis=0)
+    P_full = np.concatenate([p, spec.Psi(spec.aggregate_kernel(w[-1]))[None]], axis=0)
     gamma = spec.coupling_f(np.maximum(m_full, 0.0))
     return Solution(grid=g, u=u_full, m=m_full, w=w_full, P=P_full, gamma=gamma)
 
@@ -320,54 +322,38 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     if init is None:
         m, w, u, p = default_init(spec)
     else:
-        m = init.m[1:].copy()
-        w = init.w[1:].copy()
-        u = -init.u[: g.nt].copy()
-        p = init.P[: g.nt].copy()
+        m, w = init.m[1:].copy(), init.w[1:].copy()
+        u, p = init.u[: g.nt].copy(), init.P[: g.nt].copy()
 
-    mb, wb = m.copy(), w.copy()
     uT_shift = tau * spec.uT / g.ht
     log = ConvergenceLog(operator_norm=L)
     log.m_min = float(np.min(m))
-    vol = g.cell_volume
+    R, Z = _constraint(spec, m, w), spec.aggregate_kernel(w)
+    R_prev, Z_prev = R, Z
 
     for it in range(1, opts.max_iter + 1):
-        # dual ascent at the extrapolated primal point
-        u += sigma * _constraint(spec, mb, wb)
+        # dual step at the extrapolated primal point, through the affine R and Z
+        u -= sigma * (R + (R - R_prev))
         if include_price:
-            p = prox_Phi_star(p + sigma * aggregate_flux(wb, spec), sigma, spec.kappa_phi, spec.s)
+            p = prox_Phi_star(p + sigma * (Z + (Z - Z_prev)), sigma, spec.kappa_phi, spec.s)
         else:
             p.fill(0.0)
 
         # primal descent with the joint kinetic + congestion prox
-        gm = m - tau * _adjoint_m(spec, u)
-        gw = w - tau * (_adjoint_w(spec, u) + (spec.phi_transpose_price(p) if include_price else 0.0))
+        gm = m + tau * _adjoint_m(spec, u)
+        gw = w + tau * (_adjoint_w(spec, u) - (spec.phi_transpose_price(p) if include_price else 0.0))
         gm[-1] -= uT_shift
-        m_new, w_new = prox_kinetic_congestion(
-            gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q
-        )
-        w_new = np.moveaxis(w_new, 0, 1)
-        mb = m_new + (m_new - m)
-        wb = w_new + (w_new - w)
-        m, w = m_new, w_new
+        m, w = prox_kinetic_congestion(gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q)
+        w = np.moveaxis(w, 0, 1)
 
         # certificates
         log.m_min = min(log.m_min, float(np.min(m)))
-        m_full, w_full = _full_fields(spec, m, w)
-        Bv = eval_B(m_full, w_full, spec)
-        gam = dual_gamma(spec, -u, p)
-        Dv = float(np.sum(u[0] * spec.m0) * vol)  # = -<u_paper(0), m0>
-        Dv += float(np.sum(spec.Phi_star(p)) * g.ht) if include_price else 0.0
-        Dv += float(np.sum(spec.F_star(gam)) * g.ht * vol)
+        R_prev, Z_prev = R, Z
+        R, Z, fp_res, price_res = residuals(spec, m, w, p)
+        Bv = eval_B(m, w, spec)
+        Dv = eval_D(u, p, dual_gamma(spec, u, p), spec)
         gap = Bv + Dv
-        R = _constraint(spec, m, w)
-        fp_res = float(np.sum(np.abs(R)) * g.ht * vol)
-        if include_price:
-            Z = aggregate_flux(w, spec)
-            price_res = float(np.sum(np.linalg.norm(p - spec.Psi(Z), axis=-1)) * g.ht)
-        else:
-            price_res = 0.0
-        log.append(it, Bv, Dv, gap, fp_res, price_res)
+        log.append(it, Bv, Dv, gap, fp_res, price_res if include_price else 0.0)
         if np.isfinite(Bv) and abs(gap) <= opts.tol_gap * (1.0 + abs(Bv)) and fp_res <= opts.tol_gap:
             log.converged = True
             break

@@ -256,10 +256,13 @@ def test_diagnose_invalid_shifts_exits_1(uniform_run, capsys):
     assert "--shifts" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("cut", ["rows", "mid_row"])
+@pytest.mark.parametrize("cut", ["rows", "mid_row", "abc", "nan"])
 def test_verify_truncated_w_csv(uniform_run, capsys, cut):
     lines = (uniform_run / "w.csv").read_text().splitlines()
-    text = "\n".join(lines[:-5]) + "\n" if cut == "rows" else "\n".join(lines[:-5] + ["3,4"]) + "\n"
-    (uniform_run / "w.csv").write_text(text)
+    if cut in ("rows", "mid_row"):
+        lines = lines[:-5] + (["3,4"] if cut == "mid_row" else [])
+    else:  # a non-numeric or non-finite last value
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cut
+    (uniform_run / "w.csv").write_text("\n".join(lines) + "\n")
     assert main(["verify", "--solution", str(uniform_run)]) == 1
     assert "w.csv" in _one_line_error(capsys)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgcontrols.errors import InvalidOption, StepSizeViolation
-from mfgcontrols.grid import Grid, grad_values
+from mfgcontrols.grid import Grid, div_values, grad_values
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
 from mfgcontrols.varsolve import (
@@ -10,11 +10,11 @@ from mfgcontrols.varsolve import (
     _adjoint_m,
     _adjoint_w,
     _constraint,
-    aggregate_flux,
+    dual_gamma,
     estimate_operator_norm,
     eval_B,
     eval_D,
-    fp_constraint,
+    residuals,
     solve_primal_dual,
 )
 from oracle import transport_matrix
@@ -27,6 +27,8 @@ def spec8():
 
 
 def exact_uniform_fields(spec):
+    # (nt+1)-slot fields; the functionals take interval fields u, P = f[:nt]
+    # and m, w, gamma = f[1:]
     g = spec.grid
     t = g.times()
     u = np.tile((g.T - t)[:, None], (1, g.nx))
@@ -42,16 +44,16 @@ def exact_uniform_fields(spec):
 
 def test_eval_B_uniform_value(spec8):
     _, m, w, _, _ = exact_uniform_fields(spec8)
-    assert eval_B(m, w, spec8) == pytest.approx(0.5)  # T/2 with theta = 1, q = 2
+    assert eval_B(m[1:], w[1:], spec8) == pytest.approx(0.5)  # T/2 with theta = 1, q = 2
 
 
 def test_eval_B_perspective_violation_is_inf(spec8):
     _, m, w, _, _ = exact_uniform_fields(spec8)
     m[2, 3] = 0.0
     w[2, 0, 3] = 0.5
-    assert eval_B(m, w, spec8) == np.inf
+    assert eval_B(m[1:], w[1:], spec8) == np.inf
     m[1, 1] = -1e-3
-    assert eval_B(m, w, spec8) == np.inf
+    assert eval_B(m[1:], w[1:], spec8) == np.inf
 
 
 def test_eval_B_terminal_cost():
@@ -59,24 +61,25 @@ def test_eval_B_terminal_cost():
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(8), uT=3.0)
     m = np.ones(g.scalar_shape)
     w = np.zeros(g.vector_shape)
-    assert eval_B(m, w, spec) == pytest.approx(0.5 + 3.0)
+    assert eval_B(m[1:], w[1:], spec) == pytest.approx(0.5 + 3.0)
 
 
 def test_eval_D_values(spec8):
     g = spec8.grid
-    u = np.zeros(g.scalar_shape)
-    P = np.zeros((g.nt + 1, 1))
-    gamma = np.zeros(g.scalar_shape)
+    u = np.zeros((g.nt, g.nx))
+    P = np.zeros((g.nt, 1))
+    gamma = np.zeros((g.nt, g.nx))
     assert eval_D(u, P, gamma, spec8) == 0.0
-    u1 = np.ones(g.scalar_shape)
+    u1 = np.ones((g.nt, g.nx))
     assert eval_D(u1, P, gamma, spec8) == pytest.approx(-1.0)
-    gamma1 = np.ones(g.scalar_shape)
+    gamma1 = np.ones((g.nt, g.nx))
     assert eval_D(u, P, gamma1, spec8) == pytest.approx(0.5)  # F*(1) = 1/2 over the cylinder
 
 
 def test_duality_gap_zero_at_exact_uniform(spec8):
     u, m, w, P, gamma = exact_uniform_fields(spec8)
-    assert abs(eval_B(m, w, spec8) + eval_D(u, P, gamma, spec8)) <= 1e-14
+    nt = spec8.grid.nt
+    assert abs(eval_B(m[1:], w[1:], spec8) + eval_D(u[:nt], P[:nt], gamma[1:], spec8)) <= 1e-14
 
 
 # -- transport constraint --------------------------------------------------------
@@ -86,7 +89,9 @@ def test_fp_constraint_stationary(spec8):
     g = spec8.grid
     m = np.broadcast_to(spec8.m0, g.scalar_shape).copy()
     w = np.zeros(g.vector_shape)
-    assert np.max(np.abs(fp_constraint(m, w, spec8))) == 0.0
+    R, _, fp_res, _ = residuals(spec8, m[1:], w[1:], np.zeros((g.nt, 1)), m_start=m[0])
+    assert np.max(np.abs(R)) == 0.0
+    assert fp_res == 0.0
 
 
 def test_fp_constraint_linearity_in_divergence(spec8):
@@ -95,11 +100,10 @@ def test_fp_constraint_linearity_in_divergence(spec8):
     m = np.broadcast_to(spec8.m0, g.scalar_shape).copy()
     pot = rng.standard_normal(g.scalar_shape)
     w = grad_values(g, pot)
-    R = fp_constraint(m, w, spec8)
-    from mfgcontrols.grid import div_values
-
-    assert np.allclose(R[1:], div_values(g, w[1:]))
-    assert np.all(R[0] == 0.0)
+    R, _, fp_res, _ = residuals(spec8, m[1:], w[1:], np.zeros((g.nt, 1)), m_start=m[0])
+    div = div_values(g, w[1:])
+    assert np.allclose(R, div)
+    assert fp_res == pytest.approx(float(np.sum(np.abs(div)) * g.ht * g.cell_volume))
 
 
 def _check_constraint_adjoint(spec, seed):
@@ -124,6 +128,25 @@ def test_constraint_adjoint_identity_with_diffusion():
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, A=np.array([[0.4, 0.1], [0.1, 0.2]]),
                        m0=np.ones((6, 6)))
     _check_constraint_adjoint(spec, 2)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-diffusion"])
+def test_affine_residual_reuse(spec8, case):
+    # the dual step evaluates R and Z at 2 x1 - x0 as 2 R1 - R0 and 2 Z1 - Z0
+    if case == "1d":
+        spec = spec8
+    else:
+        g2 = Grid(d=2, nx=6, nt=3, T=1.0)
+        spec = ProblemSpec(grid=g2, q=2, r=2, s=2, A=np.array([[0.4, 0.1], [0.1, 0.2]]),
+                           m0=np.ones((6, 6)))
+    g = spec.grid
+    rng = np.random.default_rng(9)
+    m0, m1 = rng.standard_normal((2, g.nt, *g.space_shape))
+    w0, w1 = rng.standard_normal((2, g.nt, g.d, *g.space_shape))
+    R0, R1 = _constraint(spec, m0, w0), _constraint(spec, m1, w1)
+    assert np.max(np.abs(_constraint(spec, 2 * m1 - m0, 2 * w1 - w0) - (2 * R1 - R0))) <= 1e-12
+    Z0, Z1 = spec.aggregate_kernel(w0), spec.aggregate_kernel(w1)
+    assert np.max(np.abs(spec.aggregate_kernel(2 * w1 - w0) - (2 * Z1 - Z0))) <= 1e-12
 
 
 def test_oracle_transport_matrix_matches_constraint():
@@ -191,9 +214,9 @@ def test_operator_norm_bound(name, include_price):
 
 def test_aggregate_flux_zero_and_unit(spec8):
     g = spec8.grid
-    assert np.all(aggregate_flux(np.zeros(g.vector_shape), spec8) == 0.0)
+    assert np.all(spec8.aggregate_kernel(np.zeros(g.vector_shape)) == 0.0)
     w = np.ones(g.vector_shape)
-    z = aggregate_flux(w, spec8)
+    z = spec8.aggregate_kernel(w)
     assert np.allclose(z, 1.0)  # unit-volume torus, phi = 1
 
 
@@ -206,7 +229,7 @@ def test_aggregate_flux_mean_zero_kernel():
     from mfgcontrols.model import check_assumptions
 
     assert check_assumptions(spec).passed
-    z = aggregate_flux(np.ones(g.vector_shape), spec)
+    z = spec.aggregate_kernel(np.ones(g.vector_shape))
     assert np.max(np.abs(z)) <= 1e-12
 
 
@@ -244,6 +267,19 @@ def test_m_min_nonnegative_along_iterates(uniform_spec):
     assert log.m_min >= -1e-12
 
 
+def test_loop_certificate_equals_functionals_of_solution(bump_spec, bump_solved):
+    # the logged certificate is the shared functionals applied to the returned
+    # Solution, sliced to interval fields, with nothing recomputed differently
+    sol, log = bump_solved
+    spec, nt = bump_spec, bump_spec.grid.nt
+    u, P, m, w = sol.u[:nt], sol.P[:nt], sol.m[1:], sol.w[1:]
+    _, _, fp_res, price_res = residuals(spec, m, w, P)
+    assert log.B[-1] == eval_B(m, w, spec)
+    assert log.D[-1] == eval_D(u, P, dual_gamma(spec, u, P), spec)
+    assert log.fp_res[-1] == fp_res
+    assert log.price_res[-1] == price_res
+
+
 def test_step_size_violation():
     spec = uniform_instance(nx=8, nt=4)
     with pytest.raises(StepSizeViolation):
@@ -270,7 +306,7 @@ def test_solver_with_two_price_components():
     assert log.converged
     assert sol.P.shape == (g.nt + 1, 2)
     # the second kernel row is -1/2 of the first, so P tracks that ratio
-    z = aggregate_flux(sol.w, spec)
+    z = spec.aggregate_kernel(sol.w)
     assert np.allclose(z[:, 1], -0.5 * z[:, 0], atol=1e-12)
 
 
@@ -282,13 +318,13 @@ def test_weak_duality_feasible_pairs(uniform_spec):
     rng = np.random.default_rng(3)
     m = np.broadcast_to(spec.m0, g.scalar_shape).copy()
     w = np.zeros(g.vector_shape)
-    B = eval_B(m, w, spec)
+    B = eval_B(m[1:], w[1:], spec)
     for _ in range(5):
         u = rng.standard_normal(g.scalar_shape)
         P = rng.standard_normal((g.nt + 1, 1))
         m_other = np.abs(rng.standard_normal(g.scalar_shape)) + 0.1
         gamma = spec.coupling_f(m_other)
-        assert B + eval_D(u, P, gamma, spec) >= -1e-8
+        assert B + eval_D(u[: g.nt], P[: g.nt], gamma[1:], spec) >= -1e-8
 
 
 @pytest.mark.parametrize("bad", [{"step_ratio": 0.0}, {"tau": -0.1, "sigma_step": 0.1},
