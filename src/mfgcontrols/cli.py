@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .config import build_spec, load_spec, parse_config
+from .config import build_spec, csv_paths, load_spec, parse_config
 from .diagnostics import diagnose
-from .errors import CFLViolation, ConfigParse, HypothesisViolation, InvalidOption, MFGError, MissingArtifact
+from .errors import (CFLViolation, ConfigParse, HypothesisViolation, InvalidOption, MFGError, MissingArtifact,
+                     NoConvergence)
 from .model import check_assumptions, classify_exponents
 from .picard import PicardOptions, picard_iterate
 from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual
@@ -28,6 +31,9 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NONCONVERGED = 3
 EXIT_VERDICT_FALSE = 4
+
+# files that solve and diagnose write into a run directory
+_RUN_FILES = {*sio.FIELD_FILES, "log.csv", "manifest.json", "regularity.json", "diagnostics.csv"}
 
 
 def cmd_classify(args) -> int:
@@ -43,9 +49,31 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _input_csvs(config_path: str, raw: dict) -> list:
+    """(source, run-directory name) of each relative CSV path the config names.
+
+    verify and diagnose rebuild the instance against the run directory, so
+    solve copies these files there under the same relative name; absolute
+    paths resolve as they are.
+    """
+    base = os.path.dirname(os.path.abspath(config_path))
+    pairs = []
+    for path in csv_paths(raw):
+        if os.path.isabs(path):
+            continue
+        name = os.path.normpath(path)
+        if name == os.pardir or name.startswith(os.pardir + os.sep) or name in _RUN_FILES:
+            raise ConfigParse(f"CSV path '{path}' cannot be copied into the run directory under the same "
+                              "name: it leaves the config's directory or is named like a run artifact")
+        pairs.append((os.path.join(base, path), name))
+    return pairs
+
+
 def cmd_solve(args) -> int:
     spec = load_spec(args.config)
     case = classify_exponents(spec)  # raises HypothesisViolation naming the first failure
+    raw = parse_config(args.config)
+    inputs = _input_csvs(args.config, raw)
 
     t0 = time.time()
     if args.method == "pd":
@@ -73,7 +101,7 @@ def cmd_solve(args) -> int:
 
     rep, verdict = weak_solution_report(sol, spec, tol=max(args.tol, 1e-10))
     manifest = {
-        "config": parse_config(args.config),
+        "config": raw,
         "case_info": case.to_dict(),
         "solver": args.method,
         "options": options_echo,
@@ -86,6 +114,11 @@ def cmd_solve(args) -> int:
         "tool_version": __version__,
     }
     sio.write_solution(args.out, sol, log=log, manifest=manifest)
+    for source, name in inputs:
+        dest = os.path.join(args.out, name)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        if not (os.path.exists(dest) and os.path.samefile(source, dest)):
+            shutil.copyfile(source, dest)
     print(json.dumps({"converged": converged, "iterations": iterations,
                       "duality_gap": rep.duality_gap, "out": args.out}, indent=2))
     return EXIT_OK if converged else EXIT_NONCONVERGED
@@ -195,7 +228,7 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except CFLViolation as exc:
+    except (CFLViolation, NoConvergence) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except MFGError as exc:

@@ -25,6 +25,8 @@ _KEYS = {
     "theta", "c", "phi", "A", "m0", "uT", "price_dim",
 }
 
+_EXPRESSIONS = ("uniform", "constant", "gaussian_bump", "cosine")
+
 _DEFAULTS = {
     "kappa_phi": "1.0", "theta": "1.0", "c": "1.0", "phi": "1.0",
     "A": "0.0", "m0": "uniform", "uT": "uniform", "price_dim": "1",
@@ -65,6 +67,8 @@ def _floats(text: str):
 def _space_expression(text: str, grid: Grid, base_dir: str, is_density: bool) -> np.ndarray:
     toks = text.split()
     name = toks[0]
+    if name not in _EXPRESSIONS:
+        return _space_csv(os.path.join(base_dir, text), grid)
     coords = grid.meshgrid()
     if name == "uniform":
         return np.ones(grid.space_shape) if is_density else np.zeros(grid.space_shape)
@@ -91,7 +95,6 @@ def _space_expression(text: str, grid: Grid, base_dir: str, is_density: bool) ->
         for ax in coords:
             out = out * np.cos(2.0 * np.pi * freq * ax)
         return out
-    return _space_csv(os.path.join(base_dir, text), grid)
 
 
 def _space_csv(path: str, grid: Grid) -> np.ndarray:
@@ -166,6 +169,13 @@ def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
                            c=c, phi=phi, A=A, m0=m0, uT=uT, k=k)
     except ValueError as exc:
         raise ConfigParse(str(exc)) from exc
+
+
+def csv_paths(raw: dict) -> list:
+    """The CSV paths a parsed config names, as written (relative to its directory)."""
+    paths = [raw[key] for key in ("theta", "c", "phi") if len(raw[key].split()) == 1 and not _is_number(raw[key])]
+    paths += [raw[key] for key in ("m0", "uT") if raw[key].split()[0] not in _EXPRESSIONS]
+    return paths
 
 
 def _is_number(tok: str) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -66,7 +67,9 @@ def _read_csv(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a header-only file is reported by its row count below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:  # a wrong column count or a non-numeric value
         raise MissingArtifact(f"{path}: malformed row: {str(exc).split(';')[0]}") from None
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))

@@ -21,6 +21,7 @@ diffusion matrix is constant; with constant A only the B cells occur.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -233,6 +234,18 @@ class ProblemSpec:
     def price_free(self) -> bool:
         return self.kappa_phi == 0.0
 
+    # -- coefficient powers of the conjugates, computed once per spec
+
+    @cached_property
+    def c_conj(self) -> np.ndarray:
+        """c^(1-r'), the coefficient of H*."""
+        return self.c ** (1.0 - self.r_prime)
+
+    @cached_property
+    def theta_conj(self) -> np.ndarray:
+        """theta^(1-p), the coefficient of F*."""
+        return self.theta ** (1.0 - self.p)
+
     # -- congestion family f, F, F*
 
     def coupling_f(self, m):
@@ -253,7 +266,7 @@ class ProblemSpec:
         """Conjugate of F: zero for a <= 0, theta^(1-p) a^p / p above."""
         a = np.asarray(a, dtype=float)
         ap = np.maximum(a, 0.0)
-        return self.theta ** (1.0 - self.p) * ap**self.p / self.p
+        return self.theta_conj * ap**self.p / self.p
 
     # -- Hamiltonian family H, H*, dH (component axis immediately before space)
 
@@ -269,7 +282,7 @@ class ProblemSpec:
     def ham_conjugate(self, zeta):
         """H*(x, zeta) = c(x)^(1-r') |zeta|^(r') / r'."""
         rp = self.r_prime
-        return self.c ** (1.0 - rp) * self._vec_norm(zeta) ** rp / rp
+        return self.c_conj * self._vec_norm(zeta) ** rp / rp
 
     def dH(self, xi):
         """Gradient of H in xi: c(x) |xi|^(r-2) xi, zero at the origin."""

@@ -12,6 +12,13 @@ monotone scalar equations: closed forms where they exist, monotone Newton
 (tolerance NEWTON_TOL, at most NEWTON_MAX steps) for q = r = 2, and
 bracketed bisection (``solve_increasing``) otherwise.  Outputs satisfy
 m >= 0 exactly and (m = 0 implies w = 0).
+
+The q = r = 2 joint prox has its own branch: it works with |wbar|^2
+throughout (no square root), its momentum is the closed form
+w = c m / (c m + tau) wbar, and its Newton iteration starts at the
+congestion-only prox max(mbar, 0)/(1 + tau theta), which lies below the root
+of the concave, increasing stationarity function, so every Newton step
+increases m towards the root.
 """
 
 from __future__ import annotations
@@ -185,6 +192,9 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     wbar = np.asarray(wbar, dtype=float)
     c = np.broadcast_to(np.asarray(c, dtype=float), mbar.shape)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), mbar.shape)
+    if r == 2.0 and q == 2.0:
+        # a contiguous c: the Newton loop multiplies by it on every pass
+        return _prox_quadratic(mbar, wbar, tau, c.copy(), theta)
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
 
     # apex: the whole quarter-plane cost dominates the quadratic pull
@@ -192,17 +202,14 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     mb = np.where(apex, 1.0, mbar)  # masked entries get a harmless surrogate
     wn = np.where(apex, 0.0, wnorm)
 
-    if r == 2.0 and q == 2.0:
-        m = _newton_quadratic(mb, wn, tau, c, theta)
-    else:
-        r_prime = r / (r - 1.0)
-        cp = c ** (1.0 - r_prime)
-        hi = np.maximum(mb, 0.0) + (tau * cp / r) * _clamp((wn / (cp * tau)) ** r) + 1e-30
+    r_prime = r / (r - 1.0)
+    cp = c ** (1.0 - r_prime)
+    hi = np.maximum(mb, 0.0) + (tau * cp / r) * _clamp((wn / (cp * tau)) ** r) + 1e-30
 
-        def G(m):
-            return _outer_G(m, mb, wn, tau, c, r, theta, q)
+    def G(m):
+        return _outer_G(m, mb, wn, tau, c, r, theta, q)
 
-        m = solve_increasing(G, np.zeros_like(mb), hi)
+    m = solve_increasing(G, np.zeros_like(mb), hi)
     m = np.where(apex, 0.0, m)
     rho = _rho_inner(m, wnorm, tau, c, r)
     wn_safe = np.where(wnorm > 0.0, wnorm, 1.0)
@@ -210,22 +217,43 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     return m, w
 
 
-def _newton_quadratic(mbar, wnorm, tau, c, theta):
-    """Monotone Newton for q = r = 2: G is increasing and concave on m >= 0."""
-    m = np.zeros_like(mbar)
-    scale = 1.0 + np.abs(mbar)
+def _prox_quadratic(mbar, wbar, tau, c, theta):
+    """The q = r = 2 joint prox, on |wbar|^2 and with the closed-form momentum."""
+    w2 = np.sum(wbar * wbar, axis=0)
+    # apex: the kinetic cost of any m > 0 outweighs the quadratic pull
+    apex = mbar + c * w2 / (2.0 * tau) <= 0.0
+    m = _newton_quadratic(np.where(apex, 1.0, mbar), np.where(apex, 0.0, w2), tau, c, theta)
+    m = np.where(apex, 0.0, np.maximum(m, 0.0))  # a root within rounding of 0 may land below it
+    cm = c * m
+    return m, cm / (cm + tau) * wbar
+
+
+def _newton_quadratic(mbar, w2, tau, c, theta):
+    """Monotone Newton for q = r = 2 on G(m) = a m - mbar - b / (2 (c m + tau)^2).
+
+    Here a = 1 + tau theta, b = tau c |wbar|^2 and G'(m) = a + b c /
+    (c m + tau)^3 (bc below).  G is increasing and concave on m >= 0, so
+    Newton started below the root increases m and stays below it.  The start
+    is the congestion-only prox max(mbar, 0)/a: there G = -b / (2 (c m +
+    tau)^2) <= 0 when mbar >= 0, and G(0) = -mbar - c |wbar|^2 / (2 tau) < 0
+    off the apex when mbar < 0.
+    """
+    a = 1.0 + tau * theta
+    half_b = 0.5 * tau * c * w2
+    bc = 2.0 * c * half_b
+    tol = NEWTON_TOL * (1.0 + np.abs(mbar))
+    m = np.maximum(mbar, 0.0) / a
     for _ in range(NEWTON_MAX):
         den = c * m + tau
-        G = (1.0 + tau * theta) * m - mbar - tau * c * wnorm**2 / (2.0 * den**2)
-        if np.all(np.abs(G) <= NEWTON_TOL * scale):
-            break
-        dG = 1.0 + tau * theta + tau * c**2 * wnorm**2 / den**3
-        m = np.maximum(m - G / dG, 0.0)
-    else:
-        den = c * m + tau
-        G = (1.0 + tau * theta) * m - mbar - tau * c * wnorm**2 / (2.0 * den**2)
-        if np.any(np.abs(G) > 1e-9 * scale):
-            raise NoConvergence(f"quadratic kinetic prox residual {np.abs(G).max():.3e}")
+        den2 = den * den
+        G = a * m - mbar - half_b / den2
+        if np.all(np.abs(G) <= tol):
+            return m
+        m = m - G / (a + bc / (den2 * den))
+    den = c * m + tau
+    G = a * m - mbar - half_b / (den * den)
+    if np.any(np.abs(G) > 1e-9 * (1.0 + np.abs(mbar))):
+        raise NoConvergence(f"quadratic kinetic prox residual {np.abs(G).max():.3e}")
     return m
 
 

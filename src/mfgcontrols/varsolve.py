@@ -142,9 +142,8 @@ def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np
     g = spec.grid
     rp = spec.r_prime
     wnorm = np.sqrt(np.sum(w * w, axis=w.ndim - g.d - 1))
-    cp = spec.c ** (1.0 - rp)
     m_pos = np.where(m > 0.0, m, 1.0)
-    interior = cp * wnorm**rp * m_pos ** (1.0 - rp) / rp
+    interior = spec.c_conj * wnorm**rp * m_pos ** (1.0 - rp) / rp
     return np.where(m > 0.0, interior, np.where(wnorm > 0.0, np.inf, 0.0))
 
 
@@ -263,8 +262,12 @@ def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.nd
     with the terminal ghost u_nt = u_T.  Evaluating D here yields a valid
     lower bound on -B at every iterate.
     """
+    return _gamma_at(spec, u_int, grad_values(spec.grid, u_int) + spec.phi_transpose_price(p_int))
+
+
+def _gamma_at(spec, u_int, xi):
+    """dual_gamma with the control argument xi = Du + phi^T P already formed."""
     g = spec.grid
-    xi = grad_values(g, u_int) + spec.phi_transpose_price(p_int)
     gam = spec.hamiltonian(xi)
     if np.any(spec.A):
         gam -= diffusion_values(g, spec.A, u_int)
@@ -339,9 +342,11 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         else:
             p.fill(0.0)
 
-        # primal descent with the joint kinetic + congestion prox
+        # primal descent with the joint kinetic + congestion prox; the
+        # w-adjoint of (u, P) is -xi, and xi also gives the certificate's gamma
+        xi = grad_values(g, u) + spec.phi_transpose_price(p)
         gm = m + tau * _adjoint_m(spec, u)
-        gw = w + tau * (_adjoint_w(spec, u) - (spec.phi_transpose_price(p) if include_price else 0.0))
+        gw = w - tau * xi
         gm[-1] -= uT_shift
         m, w = prox_kinetic_congestion(gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q)
         w = np.moveaxis(w, 0, 1)
@@ -351,7 +356,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         R_prev, Z_prev = R, Z
         R, Z, fp_res, price_res = residuals(spec, m, w, p)
         Bv = eval_B(m, w, spec)
-        Dv = eval_D(u, p, dual_gamma(spec, u, p), spec)
+        Dv = eval_D(u, p, _gamma_at(spec, u, xi), spec)
         gap = Bv + Dv
         log.append(it, Bv, Dv, gap, fp_res, price_res if include_price else 0.0)
         if np.isfinite(Bv) and abs(gap) <= opts.tol_gap * (1.0 + abs(Bv)) and fp_res <= opts.tol_gap:

@@ -256,13 +256,62 @@ def test_diagnose_invalid_shifts_exits_1(uniform_run, capsys):
     assert "--shifts" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("cut", ["rows", "mid_row", "abc", "nan"])
+@pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
+@pytest.mark.parametrize("cut", ["rows", "mid_row", "abc", "nan", "header"])
 def test_verify_truncated_w_csv(uniform_run, capsys, cut):
     lines = (uniform_run / "w.csv").read_text().splitlines()
-    if cut in ("rows", "mid_row"):
+    if cut == "header":
+        lines = lines[:1]
+    elif cut in ("rows", "mid_row"):
         lines = lines[:-5] + (["3,4"] if cut == "mid_row" else [])
     else:  # a non-numeric or non-finite last value
         lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cut
     (uniform_run / "w.csv").write_text("\n".join(lines) + "\n")
     assert main(["verify", "--solution", str(uniform_run)]) == 1
     assert "w.csv" in _one_line_error(capsys)
+
+
+def _write_node_csv(path, values):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("x_index,value\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{float(v)!r}\n")
+
+
+def test_csv_backed_run_verifies_on_its_own(tmp_path, capsys):
+    x = np.arange(16) / 16
+    _write_node_csv(tmp_path / "theta.csv", 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    _write_node_csv(tmp_path / "data" / "m0.csv", 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    cfg = write_cfg(tmp_path / "c.cfg", theta="theta.csv", m0="data/m0.csv")
+    out = tmp_path / "runs" / "t"
+    assert main(["solve", cfg, "--out", str(out), "--tol", "1e-6"]) == 0
+    assert (out / "theta.csv").read_bytes() == (tmp_path / "theta.csv").read_bytes()
+    assert (out / "data" / "m0.csv").read_bytes() == (tmp_path / "data" / "m0.csv").read_bytes()
+    os.remove(tmp_path / "theta.csv")
+    os.remove(tmp_path / "data" / "m0.csv")
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", ["m.csv", "../theta.csv"])
+def test_solve_rejects_csv_path_it_cannot_copy(tmp_path, capsys, name):
+    cfg_dir = tmp_path / "cfg"
+    _write_node_csv(cfg_dir / name, np.ones(16))
+    cfg = write_cfg(cfg_dir / "c.cfg", theta=name)
+    out = tmp_path / "run"
+    assert main(["solve", cfg, "--out", str(out)]) == 1
+    assert "config error" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_solve_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    from mfgcontrols import cli
+    from mfgcontrols.errors import NoConvergence
+
+    def fail(spec, opts):
+        raise NoConvergence("quadratic kinetic prox residual 1.000e-03")
+
+    monkeypatch.setattr(cli, "solve_primal_dual", fail)
+    assert main(["solve", UNIFORM_CFG, "--out", str(tmp_path / "run")]) == 3
+    assert _one_line_error(capsys).startswith("non-convergence: ")

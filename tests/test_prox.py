@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from mfgcontrols.prox import (
+    _outer_G,
     kinetic_kkt_residual,
     prox_F,
     prox_Phi,
     prox_Phi_star,
     prox_kinetic,
     prox_kinetic_congestion,
+    solve_increasing,
 )
 from oracle import brute_prox_kinetic, brute_prox_phi_star
 
@@ -97,6 +99,57 @@ def test_joint_prox_matches_generic_path_on_quadratic():
     m2, w2 = prox_kinetic_congestion(mbar, wbar, 0.4, 1.2, 2.0 + 1e-14, 0.9, 2.0)
     assert np.max(np.abs(m1 - m2)) <= 1e-9
     assert np.max(np.abs(w1 - w2)) <= 1e-9
+
+
+def _general_quadratic_prox_m(mbar, wbar, tau, c, theta):
+    """m of the joint prox by the general path (apex test, bisection on _outer_G) at q = r = 2."""
+    wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
+    apex = mbar + tau * c * (wnorm / tau) ** 2 / 2.0 <= 0.0
+    mb = np.where(apex, 1.0, mbar)
+    wn = np.where(apex, 0.0, wnorm)
+    hi = np.maximum(mb, 0.0) + (tau / (2.0 * c)) * (wn * c / tau) ** 2 + 1e-30
+    m = solve_increasing(lambda x: _outer_G(x, mb, wn, tau, c, 2.0, theta, 2.0), np.zeros_like(mb), hi)
+    return np.where(apex, 0.0, m), apex
+
+
+def _quadratic_cases():
+    rng = np.random.default_rng(4)
+    n = 40
+    mbar = rng.uniform(-0.5, 2.5, size=n)
+    wbar = rng.uniform(-1.5, 1.5, size=(1, n))
+    mbar[:4] = [-2.0, -1.0, -0.3, -1e-3]  # apex entries
+    wbar[:, :4] = [0.1, 0.0, -0.2, 0.0]
+    wbar[:, 4:8] = 0.0  # no momentum: the congestion-only prox itself
+    mbar[8:12] = [-0.2, -0.05, -1e-8, -0.4]  # negative mbar off the apex
+    wbar[:, 8:12] = [1.4, -1.0, 0.5, -1.5]
+    return [
+        ("per_node", mbar, wbar, 0.4, rng.uniform(0.01, 2.0, n), rng.uniform(0.0, 3.0, n)),
+        ("scalar_coeffs", mbar, wbar, 0.37, 0.9, 1.1),
+        ("d2", mbar, rng.uniform(-1.5, 1.5, size=(2, n)), 0.3, rng.uniform(0.5, 1.5, n), 0.7),
+        ("scalar_0d", np.array(0.8), np.array([1.2]), 0.37, 0.9, 1.1),
+        ("scalar_0d_negative", np.array(-0.1), np.array([0.9, -0.4]), 0.37, 1.0, 1.1),
+        ("scalar_0d_apex", np.array(-1.0), np.array([0.1]), 0.37, 0.9, 1.1),
+    ]
+
+
+@pytest.mark.parametrize("case", _quadratic_cases(), ids=lambda case: case[0])
+def test_quadratic_branch_matches_general_path(case):
+    _, mbar, wbar, tau, c, theta = case
+    c = np.broadcast_to(np.asarray(c, float), mbar.shape)
+    theta = np.broadcast_to(np.asarray(theta, float), mbar.shape)
+    m, w = prox_kinetic_congestion(mbar, wbar, tau, c, 2.0, theta, 2.0)
+    m_ref, apex = _general_quadratic_prox_m(mbar, wbar, tau, c, theta)
+    assert np.shape(m) == np.shape(mbar) and np.shape(w) == np.shape(wbar)
+    assert np.all(np.abs(m - m_ref) <= 1e-12 * (1.0 + np.abs(mbar)))
+    assert np.max(kinetic_kkt_residual(m, w, mbar, wbar, tau, c, 2.0, theta, 2.0)) <= 1e-10
+    assert np.all(np.where(apex, m, 0.0) == 0.0) and np.all(w[:, apex] == 0.0)
+    # the Newton start, the congestion-only prox, lies at or below the root;
+    # where wbar = 0 it is the root, so G there is zero up to rounding
+    wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
+    start = np.maximum(mbar, 0.0) / (1.0 + tau * theta)
+    G0 = _outer_G(start, mbar, wnorm, tau, c, 2.0, theta, 2.0)
+    assert np.all(np.where(apex, 0.0, G0) <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(mbar)))
+    assert np.all((G0 < 0.0) | apex | (wnorm == 0.0))
 
 
 def test_joint_prox_kkt_residuals():
