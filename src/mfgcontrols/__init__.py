@@ -14,6 +14,7 @@ from .errors import (
     CFLViolation,
     ConfigParse,
     DeltaNotOnGrid,
+    Diverged,
     HypothesisViolation,
     InvalidOption,
     MFGError,

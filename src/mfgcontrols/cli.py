@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -18,8 +19,8 @@ import numpy as np
 from . import __version__
 from .config import build_spec, csv_paths, load_spec, parse_config
 from .diagnostics import diagnose
-from .errors import (CFLViolation, ConfigParse, HypothesisViolation, InvalidOption, MFGError, MissingArtifact,
-                     NoConvergence)
+from .errors import (CFLViolation, ConfigParse, Diverged, HypothesisViolation, InvalidOption, MFGError,
+                     MissingArtifact, NoConvergence)
 from .model import check_assumptions, classify_exponents
 from .picard import PicardOptions, picard_iterate
 from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual
@@ -81,8 +82,7 @@ def cmd_solve(args) -> int:
         sol, log = solve_primal_dual(spec, opts)
         converged = log.converged
         iterations = log.iterations
-        options_echo = {"max_iter": args.max_iter, "tol_gap": args.tol,
-                        "operator_norm": log.operator_norm}
+        options_echo = {"max_iter": args.max_iter, "tol_gap": args.tol, **log.steps}
     else:
         opts = PicardOptions(damping=args.damping, max_outer=args.max_iter,
                              tol_fixed_point=args.tol)
@@ -173,7 +173,9 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(prog="mfgc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (CFLViolation, NoConvergence) as exc:
+    except (CFLViolation, Diverged, NoConvergence) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except MFGError as exc:

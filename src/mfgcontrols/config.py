@@ -48,6 +48,8 @@ def parse_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KEYS:
                 raise ConfigParse(f"{path}:{ln}: unknown key '{key}'")
+            if not value:
+                raise ConfigParse(f"{path}:{ln}: empty value for '{key}'")
             raw[key] = value
     for key in ("dimension", "nx", "nt", "horizon", "q", "r", "s"):
         if key not in raw:

@@ -25,8 +25,12 @@ class NoConvergence(MFGError):
     """A scalar root-find exhausted its iteration budget."""
 
 
+class Diverged(MFGError):
+    """The saddle-point iterates produced a non-finite certificate."""
+
+
 class StepSizeViolation(MFGError):
-    """Primal/dual step sizes violate tau * sigma * L**2 <= 1."""
+    """The price step violates omega + tau * sigma * |G|**2 <= 1."""
 
 
 class CFLViolation(MFGError):

@@ -8,6 +8,7 @@ gamma.csv, log.csv and manifest.json.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -19,51 +20,47 @@ from .grid import Grid
 from .varsolve import ConvergenceLog, Solution
 
 FIELD_FILES = ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv")
+_AXES = ("x_index", "y_index")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _template(prefixes, n_values: int) -> str:
+    """One '%'-format string for a file body: a row per prefix with n_values %.17g slots.
+
+    '%.17g' % v prints the digits of format(v, '.17g'); 17 significant
+    digits round-trip doubles exactly.
+    """
+    slots = ",".join(["%.17g"] * n_values)
+    return "".join(f"{prefix},{slots}\n" for prefix in prefixes)
 
 
-def _index_columns(grid: Grid):
-    return ["x_index"] if grid.d == 1 else ["x_index", "y_index"]
+@functools.lru_cache(maxsize=8)
+def _field_template(grid: Grid, n_values: int) -> str:
+    """_template of a field file, whose rows start with the indices t, x[, y] of a node."""
+    nodes = [",".join(map(str, ix)) for ix in np.indices(grid.space_shape).reshape(grid.d, -1).T.tolist()]
+    return _template((f"{t},{ix}" for t in range(grid.nt + 1) for ix in nodes), n_values)
+
+
+def _write(path: str, cols: list, template: str, values) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n" + template % tuple(np.ravel(values).tolist()))
 
 
 def write_scalar_csv(path: str, grid: Grid, values: np.ndarray) -> None:
-    cols = ["t_index", *_index_columns(grid), "value"]
-    flat = values.reshape(grid.nt + 1, grid.n_space)
-    idx = np.indices(grid.space_shape).reshape(grid.d, grid.n_space)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(grid.nt + 1):
-            for j in range(grid.n_space):
-                ix = ",".join(str(idx[a, j]) for a in range(grid.d))
-                fh.write(f"{t},{ix},{_fmt(flat[t, j])}\n")
+    _write(path, ["t_index", *_AXES[: grid.d], "value"], _field_template(grid, 1), values)
 
 
 def write_vector_csv(path: str, grid: Grid, values: np.ndarray) -> None:
-    cols = ["t_index", *_index_columns(grid)] + [f"value_{i}" for i in range(grid.d)]
-    flat = values.reshape(grid.nt + 1, grid.d, grid.n_space)
-    idx = np.indices(grid.space_shape).reshape(grid.d, grid.n_space)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(grid.nt + 1):
-            for j in range(grid.n_space):
-                ix = ",".join(str(idx[a, j]) for a in range(grid.d))
-                vals = ",".join(_fmt(flat[t, i, j]) for i in range(grid.d))
-                fh.write(f"{t},{ix},{vals}\n")
+    cols = ["t_index", *_AXES[: grid.d]] + [f"value_{i}" for i in range(grid.d)]
+    rows = values.reshape(grid.nt + 1, grid.d, grid.n_space).transpose(0, 2, 1)
+    _write(path, cols, _field_template(grid, grid.d), rows)
 
 
 def write_price_csv(path: str, grid: Grid, values: np.ndarray) -> None:
-    k = values.shape[1]
-    cols = ["t_index"] + [f"value_{i}" for i in range(k)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(grid.nt + 1):
-            fh.write(str(t) + "," + ",".join(_fmt(values[t, i]) for i in range(k)) + "\n")
+    cols = ["t_index"] + [f"value_{i}" for i in range(values.shape[1])]
+    _write(path, cols, _template(range(grid.nt + 1), values.shape[1]), values)
 
 
-def _read_csv(path: str) -> np.ndarray:
+def _read_csv(path: str, n_rows: int) -> np.ndarray:
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
     try:
@@ -75,36 +72,27 @@ def _read_csv(path: str) -> np.ndarray:
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise MissingArtifact(f"{path}: malformed row: non-finite value on line {bad[0] + 2}")
+    if data.shape[0] != n_rows:
+        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
     return data
 
 
 def read_scalar_csv(path: str, grid: Grid) -> np.ndarray:
-    data = _read_csv(path)
-    if data.shape[0] != (grid.nt + 1) * grid.n_space:
-        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
-    return data[:, -1].reshape(grid.scalar_shape)
+    return _read_csv(path, (grid.nt + 1) * grid.n_space)[:, -1].reshape(grid.scalar_shape)
 
 
 def read_vector_csv(path: str, grid: Grid) -> np.ndarray:
-    data = _read_csv(path)
-    if data.shape[0] != (grid.nt + 1) * grid.n_space:
-        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
-    vals = data[:, -grid.d :]
+    vals = _read_csv(path, (grid.nt + 1) * grid.n_space)[:, -grid.d :]
     return vals.reshape(grid.nt + 1, grid.n_space, grid.d).transpose(0, 2, 1).reshape(grid.vector_shape)
 
 
 def read_price_csv(path: str, grid: Grid) -> np.ndarray:
-    data = _read_csv(path)
-    if data.shape[0] != grid.nt + 1:
-        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
-    return data[:, 1:]
+    return _read_csv(path, grid.nt + 1)[:, 1:]
 
 
 def write_log_csv(path: str, log: ConvergenceLog) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,B,D,gap,fp_res,price_res\n")
-        for row in log.rows():
-            fh.write(str(row[0]) + "," + ",".join(_fmt(v) for v in row[1:]) + "\n")
+    cols = ["iter", "B", "D", "gap", "fp_res", "price_res"]
+    _write(path, cols, _template(log.iters, 5), np.column_stack(log.columns()[1:]))
 
 
 def write_solution(out_dir: str, sol: Solution, log: ConvergenceLog | None = None, manifest: dict | None = None) -> list:

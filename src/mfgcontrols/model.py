@@ -20,7 +20,7 @@ diffusion matrix is constant; with constant A only the B cells occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -130,19 +130,8 @@ class CaseInfo:
     eta: float
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return v if np.isfinite(v) else "inf"
-
-        return {
-            "p": self.p,
-            "r_prime": self.r_prime,
-            "s_prime": enc(self.s_prime),
-            "sigma": self.sigma,
-            "case_label": self.case_label,
-            "r_tilde": self.r_tilde,
-            "kappa": enc(self.kappa),
-            "eta": enc(self.eta),
-        }
+        """Field values, with an infinite exponent written as "inf"."""
+        return {k: "inf" if v == np.inf else v for k, v in asdict(self).items()}
 
 
 # -- problem specification ----------------------------------------------------
@@ -258,9 +247,9 @@ class ProblemSpec:
     def F(self, m):
         """Primitive of f in m: theta(x) m^q / q for m >= 0, +inf otherwise."""
         m = np.asarray(m, dtype=float)
-        if np.any(m < 0.0):
+        if (m < 0.0).any():
             raise NegativeDensity("F(x, m) requires m >= 0")
-        return self.theta * m**self.q / self.q
+        return self.theta / self.q * m**self.q
 
     def F_star(self, a):
         """Conjugate of F: zero for a <= 0, theta^(1-p) a^p / p above."""
@@ -270,19 +259,19 @@ class ProblemSpec:
 
     # -- Hamiltonian family H, H*, dH (component axis immediately before space)
 
-    def _vec_norm(self, xi):
+    def _sq_norm(self, xi):
+        """|xi|^2 over the component axis (the one before the spatial axes)."""
         xi = np.asarray(xi, dtype=float)
-        ax = xi.ndim - self.grid.d - 1
-        return np.sqrt(np.sum(xi * xi, axis=ax))
+        return (xi * xi).sum(axis=xi.ndim - self.grid.d - 1)
 
     def hamiltonian(self, xi):
         """H(x, xi) = c(x) |xi|^r / r on field-shaped arguments."""
-        return self.c * self._vec_norm(xi) ** self.r / self.r
+        return self.c / self.r * self._sq_norm(xi) ** (0.5 * self.r)
 
     def ham_conjugate(self, zeta):
         """H*(x, zeta) = c(x)^(1-r') |zeta|^(r') / r'."""
         rp = self.r_prime
-        return self.c_conj * self._vec_norm(zeta) ** rp / rp
+        return self.c_conj / rp * self._sq_norm(zeta) ** (0.5 * rp)
 
     def dH(self, xi):
         """Gradient of H in xi: c(x) |xi|^(r-2) xi, zero at the origin."""

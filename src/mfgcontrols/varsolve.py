@@ -20,26 +20,40 @@ adjoint pair of the grid module this makes the discrete duality
 an exact finite-dimensional identity, so the duality gap of the iterates is
 a genuine optimality certificate.
 
-The iteration is the standard primal-dual hybrid gradient loop: a plain
-shift step on the transport multiplier u (held with the paper's sign, so the
-step is u -= sigma R), the radial conjugate-potential prox on the price P,
-and the exact pointwise prox of kinetic + congestion on (m, w).  The
-transport residual R and the aggregated flux Z are affine in (m, w) and the
-extrapolation m + (m - m_prev) has weights summing to one, so the dual step
-extrapolates the certificate's own R and Z instead of re-evaluating them.
-Step sizes obey tau * sigma * L^2 <= 1 with L bounded in closed form.
+The iteration is primal-dual hybrid gradient with Pock-Chambolle
+preconditioning: the exact pointwise prox of kinetic + congestion on (m, w)
+with a scalar step tau, the radial conjugate-potential prox on the price P
+with sigma_P = (0.99 - omega)/(tau lambda_max(G)), G the Gram matrix of the
+aggregation kernel, and on the transport multiplier u (the paper's sign; its
+conjugate term is linear, so any SPD metric will do) the step
+u -= (omega/tau) (K K^T)^-1 Rbar, K the linear part of the constraint.  The
+preconditioned operator has squared norm at most omega + tau sigma_P |G|^2
+< 1 on every mesh, so iteration counts do not grow under refinement.  R and
+the aggregated flux Z are affine in (m, w) and the extrapolation weights sum
+to one, so the dual step extrapolates the certificate's own R and Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidOption, StepSizeViolation
+from .errors import Diverged, InvalidOption, StepSizeViolation
 from .grid import Grid, check_psd, div_values, diffusion_values, grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
+
+# OMEGA: the transport multiplier's share of the step bound (not the
+# congestion theta).  The primal step tau = TAU0 step_ratio sqrt(mean c /
+# mean theta) balances the congestion curvature theta against the kinetic
+# curvature 1/(c m) at unit density: tau = 0.03 on the 64 x 64 bump (whose
+# gap-1e-3 solutions fail the verifier at 5e-3 with tau = 0.01) and 0.3 on
+# the flat instances (where tau = 0.03 stops with m 1e-4 off in L1).
+OMEGA = 0.5
+STEP_BOUND = 0.99
+TAU0 = 0.3
 
 
 @dataclass(frozen=True)
@@ -82,9 +96,12 @@ class Solution:
 class SolverOptions:
     """Step sizes and termination for the saddle-point loop.
 
-    tau / sigma_step default to the balanced choice 0.99/L from the
-    closed-form bound on L; explicit values are checked against
-    tau * sigma * L^2 <= 1.
+    tau is the primal step, TAU0 * step_ratio * sqrt(mean c / mean theta)
+    by default (c and theta the Hamiltonian and congestion coefficients).
+    sigma_step is the price step sigma_P, (0.99 - OMEGA)/(tau lambda_max(G))
+    by default; an explicit value is checked against
+    OMEGA + tau sigma_P |G|^2 <= 1.  The transport multiplier's step
+    (OMEGA/tau)(K K^T)^-1 follows from tau.
     """
 
     tau: float | None = None
@@ -108,7 +125,7 @@ class SolverOptions:
 
 @dataclass
 class ConvergenceLog:
-    """Per-iteration history of the saddle-point run."""
+    """Per-iteration history of the saddle-point run; steps holds tau, omega and sigma_price."""
 
     iters: list = field(default_factory=list)
     B: list = field(default_factory=list)
@@ -119,19 +136,15 @@ class ConvergenceLog:
     converged: bool = False
     iterations: int = 0
     m_min: float = np.inf
-    operator_norm: float = np.nan
+    steps: dict = field(default_factory=dict)
 
     def append(self, it, B, D, gap, fp_res, price_res):
-        self.iters.append(it)
-        self.B.append(B)
-        self.D.append(D)
-        self.gap.append(gap)
-        self.fp_res.append(fp_res)
-        self.price_res.append(price_res)
+        for column, value in zip(self.columns(), (it, B, D, gap, fp_res, price_res)):
+            column.append(value)
 
-    def rows(self):
-        for i in range(len(self.iters)):
-            yield (self.iters[i], self.B[i], self.D[i], self.gap[i], self.fp_res[i], self.price_res[i])
+    def columns(self):
+        """The lists iters, B, D, gap, fp_res, price_res (the log.csv columns)."""
+        return self.iters, self.B, self.D, self.gap, self.fp_res, self.price_res
 
 
 # -- functionals ---------------------------------------------------------------
@@ -139,37 +152,35 @@ class ConvergenceLog:
 
 def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
-    g = spec.grid
-    rp = spec.r_prime
-    wnorm = np.sqrt(np.sum(w * w, axis=w.ndim - g.d - 1))
-    m_pos = np.where(m > 0.0, m, 1.0)
-    interior = spec.c_conj * wnorm**rp * m_pos ** (1.0 - rp) / rp
-    return np.where(m > 0.0, interior, np.where(wnorm > 0.0, np.inf, 0.0))
+    pos = m > 0.0
+    kin = spec.ham_conjugate(w) * np.where(pos, m, 1.0) ** (1.0 - spec.r_prime)
+    kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
+    return kin
 
 
 def eval_B(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> float:
     """Primal cost of interval fields; +inf on m < 0 or convention breach."""
+    return _eval_B(m, w, spec.aggregate_kernel(w), spec)
+
+
+def _eval_B(m, w, Z, spec):
+    """eval_B with the aggregated flux Z = aggregate_kernel(w) already formed."""
     g = spec.grid
-    if np.min(m) < 0.0:
+    if m.min() < 0.0:
         return np.inf
-    kin = kinetic_energy_values(spec, m, w)
-    if np.any(np.isinf(kin)):
-        return np.inf
-    body = kin + spec.F(m)
-    total = float(np.sum(body) * g.ht * g.cell_volume)
+    # a perspective breach makes the kinetic sum, and so B, +inf
+    total = float(kinetic_energy_values(spec, m, w).sum() + spec.F(m).sum()) * g.ht * g.cell_volume
     if not spec.price_free:
-        total += float(np.sum(spec.Phi(spec.aggregate_kernel(w))) * g.ht)
-    total += float(np.sum(spec.uT * m[-1]) * g.cell_volume)
-    return total
+        total += float(spec.Phi(Z).sum()) * g.ht
+    return total + float(np.vdot(spec.uT, m[-1])) * g.cell_volume
 
 
 def eval_D(u: np.ndarray, P: np.ndarray, gamma: np.ndarray, spec: ProblemSpec) -> float:
     """Dual cost of interval fields (u, P at left nodes, gamma at right nodes)."""
     g = spec.grid
-    total = -float(np.sum(u[0] * spec.m0) * g.cell_volume)
-    total += float(np.sum(spec.Phi_star(P)) * g.ht)
-    total += float(np.sum(spec.F_star(gamma)) * g.ht * g.cell_volume)
-    return total
+    total = -float(np.vdot(u[0], spec.m0)) * g.cell_volume
+    total += float(spec.Phi_star(P).sum()) * g.ht
+    return total + float(spec.F_star(gamma).sum()) * g.ht * g.cell_volume
 
 
 def residuals(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, P: np.ndarray, m_start=None):
@@ -182,8 +193,8 @@ def residuals(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, P: np.ndarray, m_
     g = spec.grid
     R = _constraint(spec, m, w, m_start)
     Z = spec.aggregate_kernel(w)
-    fp_res = float(np.sum(np.abs(R)) * g.ht * g.cell_volume)
-    price_res = float(np.sum(np.linalg.norm(P - spec.Psi(Z), axis=-1)) * g.ht)
+    fp_res = float(np.abs(R).sum()) * g.ht * g.cell_volume
+    price_res = float(np.linalg.norm(P - spec.Psi(Z), axis=-1).sum()) * g.ht
     return R, Z, fp_res, price_res
 
 
@@ -200,21 +211,20 @@ def _constraint(spec, m, w, m_start=None):
     of the R values; the saddle-point loop extrapolates R this way.
     """
     g = spec.grid
-    R = np.empty_like(m)
-    R[0] = (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
-    R[1:] = (m[1:] - m[:-1]) / g.ht
-    if np.any(spec.A):
+    R = div_values(g, w)
+    R[0] += (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
+    R[1:] += (m[1:] - m[:-1]) / g.ht
+    if spec.A.any():
         R -= diffusion_values(g, spec.A, m)
-    R += div_values(g, w)
     return R
 
 
 def _adjoint_m(spec, u):
     g = spec.grid
     gm = u / g.ht
-    if np.any(spec.A):
-        gm -= diffusion_values(g, spec.A, u)
     gm[:-1] -= u[1:] / g.ht
+    if spec.A.any():
+        gm -= diffusion_values(g, spec.A, u)
     return gm
 
 
@@ -222,37 +232,52 @@ def _adjoint_w(spec, u):
     return -grad_values(spec.grid, u)
 
 
-def estimate_operator_norm(spec: ProblemSpec, include_price: bool = True) -> float:
-    """Closed-form upper bound on the constraint-plus-aggregation operator norm.
+def _transport_step(spec: ProblemSpec, scale: float):
+    """The map R -> scale (K K^T)^-1 R, K the linear part of ``_constraint``.
 
-    The norm is taken in the weighted inner products (ht hx^d on fields, ht
-    on price paths) in which the prox steps are pointwise.  Every stencil
-    has constant coefficients, so the spatial DFT diagonalises the
-    constraint: for mode theta the divergence has squared symbol
-    beta = sum_i (2 sin(theta_i/2)/hx)^2, the diffusion term has symbol
-    lam = sum_i A_ii (2 sin(theta_i/2)/hx)^2 + sum_{i<j} 2 A_ij sin theta_i sin theta_j / hx^2
-    (>= 0 for PSD A), and the time part is the nt x nt bidiagonal D + lam I,
-    D = (I - subdiagonal)/ht.  The squared constraint norm of the mode is
-    ||D + lam I||^2 + beta.  A +-1 diagonal similarity makes D + lam I
-    entrywise nonnegative, so its norm grows with lam and
-    ||D + max(lam) I||^2 + max(beta) bounds every mode.  The aggregation
-    rows act per time slice with squared norm lambda_max(hx^d sum_x phi phi^T),
-    the k x k Gram matrix of the kernel, and ||[K; G]||^2 <= ||K||^2 + ||G||^2.
+    The spatial DFT splits K K^T into one nt x nt block per mode,
+    (D + lam)(D + lam)^T + beta with D = (I - subdiagonal)/ht and the
+    diffusion and divergence symbols lam >= 0 (PSD A) and beta.  As
+    D + D^T = ht D D^T + e0 e0^T/ht, the block is
+    (1 + lam ht) D D^T + lam^2 + beta + (lam/ht) e0 e0^T: one eigenbasis of
+    D D^T diagonalizes every mode and Sherman-Morrison removes the rank-one
+    term (zero at A = 0), so the inverse is exact for every PSD A and a
+    solve is an rfft over space, two nt x nt products and an inverse rfft.
     """
     g = spec.grid
-    theta = np.meshgrid(*[2.0 * np.pi * np.arange(g.nx) / g.nx] * g.d, indexing="ij")
+    nt = g.nt
+    # rfftn layout: full frequency axes first, the halved one last
+    sizes = [g.nx] * (g.d - 1) + [g.nx // 2 + 1]
+    theta = np.meshgrid(*[2.0 * np.pi * np.arange(n) / g.nx for n in sizes], indexing="ij")
     a2 = [(2.0 * np.sin(th / 2.0) / g.hx) ** 2 for th in theta]
-    beta = sum(a2)
-    lam = sum(spec.A[i, i] * a2[i] for i in range(g.d))
-    for i in range(g.d):
-        for j in range(i + 1, g.d):
-            lam = lam + 2.0 * spec.A[i, j] * np.sin(theta[i]) * np.sin(theta[j]) / g.hx**2
-    time_part = (1.0 / g.ht + np.max(lam)) * np.eye(g.nt) - np.eye(g.nt, k=-1) / g.ht
-    L2 = np.linalg.norm(time_part, 2) ** 2 + np.max(beta)
-    if include_price:
-        phi = spec.phi.reshape(spec.k, -1)
-        L2 += np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1]
-    return float(np.sqrt(L2))
+    beta = sum(a2).ravel()
+    lam = sum(spec.A[i, j] * (a2[i] if i == j else np.sin(theta[i]) * np.sin(theta[j]) / g.hx**2)
+              for i in range(g.d) for j in range(g.d)).ravel()
+
+    Dm = (np.eye(nt) - np.eye(nt, k=-1)) / g.ht
+    mu, V = np.linalg.eigh(Dm @ Dm.T)
+    denom = (1.0 + lam * g.ht) * mu[:, None] + (lam * lam + beta)  # (nt, modes)
+    # complex coefficients are viewed as (real, imag) pairs of float columns
+    inv_denom = np.repeat(scale / denom, 2, axis=1)
+    corr = None
+    if spec.A.any():
+        z = V @ (V[0][:, None] / denom)  # N^-1 e0 per mode, N without the rank-one term
+        c = lam / g.ht
+        corr = np.repeat(c * z / (1.0 + c * z[0]), 2, axis=1)
+
+    def step(R):
+        Rh = np.fft.rfft(R)
+        for ax in range(1, g.d):
+            Rh = np.fft.fft(Rh, axis=ax)
+        Y = V @ ((V.T @ Rh.reshape(nt, -1).view(np.float64)) * inv_denom)
+        if corr is not None:
+            Y -= corr * Y[0]
+        Yh = Y.view(np.complex128).reshape(Rh.shape)
+        for ax in range(1, g.d):
+            Yh = np.fft.ifft(Yh, axis=ax)
+        return np.fft.irfft(Yh, n=g.nx)
+
+    return step
 
 
 def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.ndarray:
@@ -269,7 +294,7 @@ def _gamma_at(spec, u_int, xi):
     """dual_gamma with the control argument xi = Du + phi^T P already formed."""
     g = spec.grid
     gam = spec.hamiltonian(xi)
-    if np.any(spec.A):
+    if spec.A.any():
         gam -= diffusion_values(g, spec.A, u_int)
     gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
     gam[-1] += (u_int[-1] - spec.uT) / g.ht
@@ -313,14 +338,13 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     g = spec.grid
     check_psd(spec.A, g.d)
 
-    L = estimate_operator_norm(spec, include_price=include_price)
-    if opts.tau is None or opts.sigma_step is None:
-        tau = 0.99 * opts.step_ratio / L
-        sigma = 0.99 / (opts.step_ratio * L)
-    else:
-        tau, sigma = opts.tau, opts.sigma_step
-        if tau * sigma * L * L > 1.0 + 1e-9:
-            raise StepSizeViolation(f"tau*sigma*L^2 = {tau * sigma * L * L:.3f} > 1 (L = {L:.3f})")
+    tau = TAU0 * opts.step_ratio * math.sqrt(spec.c.mean() / spec.theta.mean()) if opts.tau is None else opts.tau
+    phi = spec.phi.reshape(spec.k, -1)
+    g2 = float(np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1]) if include_price else 0.0  # |G|^2
+    sigma = opts.sigma_step or ((STEP_BOUND - OMEGA) / (tau * g2) if g2 > 0.0 else 1.0 / tau)
+    if OMEGA + tau * sigma * g2 > 1.0 + 1e-9:
+        raise StepSizeViolation(f"omega + tau*sigma*|G|^2 = {OMEGA + tau * sigma * g2:.3f} > 1")
+    u_step = _transport_step(spec, OMEGA / tau)
 
     if init is None:
         m, w, u, p = default_init(spec)
@@ -329,14 +353,14 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         u, p = init.u[: g.nt].copy(), init.P[: g.nt].copy()
 
     uT_shift = tau * spec.uT / g.ht
-    log = ConvergenceLog(operator_norm=L)
+    log = ConvergenceLog(steps={"tau": tau, "omega": OMEGA, "sigma_price": sigma if include_price else 0.0})
     log.m_min = float(np.min(m))
     R, Z = _constraint(spec, m, w), spec.aggregate_kernel(w)
     R_prev, Z_prev = R, Z
 
     for it in range(1, opts.max_iter + 1):
         # dual step at the extrapolated primal point, through the affine R and Z
-        u -= sigma * (R + (R - R_prev))
+        u -= u_step(R + (R - R_prev))
         if include_price:
             p = prox_Phi_star(p + sigma * (Z + (Z - Z_prev)), sigma, spec.kappa_phi, spec.s)
         else:
@@ -348,18 +372,20 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         gm = m + tau * _adjoint_m(spec, u)
         gw = w - tau * xi
         gm[-1] -= uT_shift
-        m, w = prox_kinetic_congestion(gm, np.moveaxis(gw, 1, 0), tau, spec.c, spec.r, spec.theta, spec.q)
-        w = np.moveaxis(w, 0, 1)
+        m, w = prox_kinetic_congestion(gm, gw.swapaxes(0, 1), tau, spec.c, spec.r, spec.theta, spec.q)
+        w = w.swapaxes(0, 1)
 
         # certificates
-        log.m_min = min(log.m_min, float(np.min(m)))
+        log.m_min = min(log.m_min, float(m.min()))
         R_prev, Z_prev = R, Z
         R, Z, fp_res, price_res = residuals(spec, m, w, p)
-        Bv = eval_B(m, w, spec)
+        Bv = _eval_B(m, w, Z, spec)
         Dv = eval_D(u, p, _gamma_at(spec, u, xi), spec)
         gap = Bv + Dv
         log.append(it, Bv, Dv, gap, fp_res, price_res if include_price else 0.0)
-        if np.isfinite(Bv) and abs(gap) <= opts.tol_gap * (1.0 + abs(Bv)) and fp_res <= opts.tol_gap:
+        if not math.isfinite(gap + fp_res):  # also catches B = +inf with D = -inf
+            raise Diverged(f"non-finite certificate at iteration {it}: B = {Bv}, D = {Dv}, fp_res = {fp_res}")
+        if abs(gap) <= opts.tol_gap * (1.0 + abs(Bv)) and fp_res <= opts.tol_gap:
             log.converged = True
             break
 

@@ -315,3 +315,23 @@ def test_solve_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_primal_dual", fail)
     assert main(["solve", UNIFORM_CFG, "--out", str(tmp_path / "run")]) == 3
     assert _one_line_error(capsys).startswith("non-convergence: ")
+
+
+def test_solve_diverged_exits_3(tmp_path, capsys, monkeypatch):
+    from mfgcontrols import varsolve
+
+    def nan_prox(mbar, wbar, *args):
+        return np.full_like(mbar, np.nan), np.full_like(wbar, np.nan)
+
+    monkeypatch.setattr(varsolve, "prox_kinetic_congestion", nan_prox)
+    assert main(["solve", UNIFORM_CFG, "--out", str(tmp_path / "run")]) == 3
+    assert _one_line_error(capsys).startswith("non-convergence: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize("key", ["m0", "uT"])
+def test_empty_expression_exits_1(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path / "c.cfg", **{key: ""})
+    argv = [command, cfg] + (["--out", str(tmp_path / "run")] if command == "solve" else [])
+    assert main(argv) == 1
+    assert key in _one_line_error(capsys)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfgcontrols.errors import InvalidOption, StepSizeViolation
+from mfgcontrols import varsolve
+from mfgcontrols.errors import Diverged, InvalidOption, StepSizeViolation
 from mfgcontrols.grid import Grid, div_values, grad_values
-from mfgcontrols.instances import uniform_instance
+from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec
 from mfgcontrols.varsolve import (
+    OMEGA,
     SolverOptions,
     _adjoint_m,
     _adjoint_w,
     _constraint,
+    _transport_step,
     dual_gamma,
-    estimate_operator_norm,
     eval_B,
     eval_D,
     residuals,
@@ -161,26 +165,85 @@ def test_oracle_transport_matrix_matches_constraint():
     assert np.max(np.abs(R - _constraint(spec, m, w))) <= 1e-12
 
 
-# -- step bound -----------------------------------------------------------------
+# -- the preconditioned transport step ----------------------------------------------
 
 
-def _dense_operator_norm(spec, include_price):
-    # columns of the constraint-plus-aggregation operator, orthonormal in the
-    # ht hx^d (fields) and ht (price paths) weights
-    g = spec.grid
-    n_m = g.nt * g.n_space
-    n = n_m + g.nt * g.d * g.n_space
+def _dense_columns(fn, n_in, shape):
+    """Matrix of a linear map from its images of the unit vectors."""
     cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0 / np.sqrt(g.ht * g.cell_volume)
-        m = e[:n_m].reshape(g.nt, *g.space_shape)
-        w = e[n_m:].reshape(g.nt, g.d, *g.space_shape)
-        col = [_constraint(spec, m, w, 0.0).ravel() * np.sqrt(g.ht * g.cell_volume)]
-        if include_price:
-            col.append(spec.aggregate_kernel(w).ravel() * np.sqrt(g.ht))
-        cols.append(np.concatenate(col))
-    return np.linalg.norm(np.array(cols).T, 2)
+    for j in range(n_in):
+        e = np.zeros(n_in)
+        e[j] = 1.0
+        cols.append(np.ravel(fn(e.reshape(shape))))
+    return np.array(cols).T
+
+
+@st.composite
+def transport_cases(draw):
+    """A random small spec (d, k, PSD A, per-node phi) and a random multiplier field."""
+    d = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([1, 2]))
+    g = Grid(d=d, nx=draw(st.integers(4, 7 if d == 1 else 5)), nt=draw(st.integers(2, 5)), T=1.0)
+    zero_A = draw(st.booleans())
+    Bm = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=d * d, max_size=d * d))).reshape(d, d)
+    A = np.zeros((d, d)) if zero_A else Bm @ Bm.T
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.uniform(-1.5, 1.5, (k, d, *g.space_shape))
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, k=k, phi=phi, A=A, m0=np.ones(g.space_shape))
+    return spec, rng.standard_normal((g.nt, *g.space_shape))
+
+
+def _dense_K(spec):
+    """Linear part of the constraint on the stacked (m, w) interval fields."""
+    g = spec.grid
+    n_m, n_w = g.nt * g.n_space, g.nt * g.d * g.n_space
+    return _dense_columns(
+        lambda x: _constraint(spec, x[:n_m].reshape(g.nt, *g.space_shape),
+                              x[n_m:].reshape(g.nt, g.d, *g.space_shape), 0.0),
+        n_m + n_w, (n_m + n_w,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(transport_cases())
+def test_transport_step_inverts_kkt(case):
+    # the step solves K K^T exactly (at A = 0 and through the rank-one
+    # correction at A != 0), so step(K K^T v) = v
+    spec, v = case
+    step = _transport_step(spec, 1.0)
+    kkt_v = _constraint(spec, _adjoint_m(spec, v), _adjoint_w(spec, v), 0.0)
+    assert np.max(np.abs(step(kkt_v) - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(transport_cases())
+def test_transport_metric_dominates_kkt(case):
+    # <y, M y> >= <y, K K^T y> against the dense K, with M y = v for y = M^-1 v
+    spec, v = case
+    y = _transport_step(spec, 1.0)(v)
+    K = _dense_K(spec)
+    Kty = K.T @ y.ravel()
+    assert Kty @ Kty <= float(np.sum(y * v)) * (1.0 + 1e-12)
+
+
+def _preconditioned_norm2(spec, include_price):
+    """||Sigma^1/2 [K; G] T^1/2||^2 of the loop's steps, from dense matrices.
+
+    T = tau, Sigma = (omega/tau) (K K^T)^-1 on the transport rows and sigma_P
+    on the price rows; fields carry the ht hx^d weight and price paths ht,
+    so G's adjoint is G^T / hx^d.
+    """
+    g = spec.grid
+    _, log = solve_primal_dual(spec, SolverOptions(max_iter=1, tol_gap=0.0), include_price=include_price)
+    tau, sigma = log.steps["tau"], log.steps["sigma_price"]
+    K = _dense_K(spec)
+    n_u = K.shape[0]
+    S = _dense_columns(_transport_step(spec, OMEGA / tau), n_u, (g.nt, *g.space_shape))
+    op = K.T @ S @ K
+    if include_price:
+        n_m = g.nt * g.n_space
+        G = _dense_columns(spec.aggregate_kernel, g.d * g.n_space, (g.d, *g.space_shape))
+        op[n_m:, n_m:] += sigma * np.kron(np.eye(g.nt), G.T @ G) / g.cell_volume
+    return tau * np.linalg.eigvalsh(0.5 * (op + op.T))[-1]
 
 
 def _bound_specs():
@@ -200,13 +263,40 @@ def _bound_specs():
 @pytest.mark.parametrize("name", ["uniform-1d", "2d-diffusion-k2", "sin-kernel"])
 @pytest.mark.parametrize("include_price", [True, False])
 def test_operator_norm_bound(name, include_price):
-    spec = _bound_specs()[name]
-    dense = _dense_operator_norm(spec, include_price)
-    bound = estimate_operator_norm(spec, include_price)
-    # without price rows the bound equals the norm on these instances: allow SVD rounding
-    assert dense <= bound * (1.0 + 1e-12)
-    assert bound <= 1.002 * dense
-    assert estimate_operator_norm(spec, include_price) == bound
+    # the preconditioned operator meets Pock-Chambolle's condition: the
+    # transport block contributes exactly omega, the price rows at most
+    # 0.99 - omega
+    norm2 = _preconditioned_norm2(_bound_specs()[name], include_price)
+    assert norm2 >= OMEGA * (1.0 - 1e-9)
+    assert norm2 <= (0.99 if include_price else OMEGA) * (1.0 + 1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(transport_cases())
+def test_preconditioned_norm_below_one(case):
+    spec, _ = case
+    assert _preconditioned_norm2(spec, True) <= 0.99 * (1.0 + 1e-9)
+
+
+def test_iterations_mesh_independent():
+    # plain PDHG doubled its iterations per refinement (488 -> 2,191 from n = 16 to 64)
+    iters = []
+    for n in (16, 32, 64):
+        _, log = solve_primal_dual(bump_instance(nx=n, nt=n), SolverOptions(max_iter=2000, tol_gap=1e-3))
+        assert log.converged
+        iters.append(log.iterations)
+    assert max(iters) <= 1.25 * min(iters), iters
+
+
+def test_non_finite_certificate_raises_diverged(monkeypatch):
+    spec = uniform_instance(nx=8, nt=4)
+
+    def nan_prox(mbar, wbar, *args):
+        return np.full_like(mbar, np.nan), np.full_like(wbar, np.nan)
+
+    monkeypatch.setattr(varsolve, "prox_kinetic_congestion", nan_prox)
+    with pytest.raises(Diverged):
+        solve_primal_dual(spec, SolverOptions(max_iter=5))
 
 
 # -- aggregation ----------------------------------------------------------------
