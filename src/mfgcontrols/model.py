@@ -44,8 +44,8 @@ def conjugate_exponent(p: float) -> float:
 
 def power_value(xi, coeff, expo):
     """coeff * |xi|^expo / expo over the last axis."""
-    n = np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
-    return coeff * n**expo / expo
+    xi = np.asarray(xi, dtype=float)
+    return coeff / expo * (xi * xi).sum(axis=-1) ** (0.5 * expo)
 
 
 def power_gradient(xi, coeff, expo):

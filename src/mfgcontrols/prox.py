@@ -86,10 +86,10 @@ def power_prox(nbar, lam, expo):
     the scalar core shared by prox_F and the radial price proxes.
     """
     nbar = np.asarray(nbar, dtype=float)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), nbar.shape)
     pos = nbar > 0.0
     if expo == 2.0:
         return np.where(pos, nbar / (1.0 + lam), 0.0)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), nbar.shape)
     nb = np.where(pos, nbar, 1.0)
 
     def f(rho):
@@ -123,7 +123,7 @@ def prox_Phi_star(Pbar, sigma_step, kappa_phi, s):
     Pbar = np.asarray(Pbar, dtype=float)
     if kappa_phi == 0.0:
         return np.zeros_like(Pbar)
-    n = np.linalg.norm(Pbar, axis=-1, keepdims=True)
+    n = np.sqrt((Pbar * Pbar).sum(axis=-1, keepdims=True))
     s_prime = s / (s - 1.0)
     lam = sigma_step * kappa_phi ** (1.0 - s_prime)
     rho = power_prox(n, lam, s_prime)
@@ -219,11 +219,12 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
 
 def _prox_quadratic(mbar, wbar, tau, c, theta):
     """The q = r = 2 joint prox, on |wbar|^2 and with the closed-form momentum."""
-    w2 = np.sum(wbar * wbar, axis=0)
+    w2 = (wbar * wbar).sum(axis=0)
     # apex: the kinetic cost of any m > 0 outweighs the quadratic pull
     apex = mbar + c * w2 / (2.0 * tau) <= 0.0
-    m = _newton_quadratic(np.where(apex, 1.0, mbar), np.where(apex, 0.0, w2), tau, c, theta)
-    m = np.where(apex, 0.0, np.maximum(m, 0.0))  # a root within rounding of 0 may land below it
+    if apex.any():  # masked entries get a harmless surrogate
+        mbar, w2 = np.where(apex, 1.0, mbar), np.where(apex, 0.0, w2)
+    m = np.where(apex, 0.0, np.maximum(_newton_quadratic(mbar, w2, tau, c, theta), 0.0))  # roots may round below 0
     cm = c * m
     return m, cm / (cm + tau) * wbar
 
@@ -247,7 +248,7 @@ def _newton_quadratic(mbar, w2, tau, c, theta):
         den = c * m + tau
         den2 = den * den
         G = a * m - mbar - half_b / den2
-        if np.all(np.abs(G) <= tol):
+        if (np.abs(G) <= tol).all():
             return m
         m = m - G / (a + bc / (den2 * den))
     den = c * m + tau

@@ -153,7 +153,7 @@ class ConvergenceLog:
 def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
     pos = m > 0.0
-    kin = spec.ham_conjugate(w) * np.where(pos, m, 1.0) ** (1.0 - spec.r_prime)
+    kin = spec.ham_conjugate(w) / np.where(pos, m, 1.0) ** (spec.r_prime - 1.0)
     kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
     return kin
 
@@ -327,12 +327,12 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
                       include_price: bool = True):
     """Run the saddle-point iteration; returns (Solution, ConvergenceLog).
 
-    Terminates when |B + D| <= tol_gap * (1 + |B|) and the transport
-    residual is below tol_gap; otherwise stops at max_iter with the last
-    iterate and converged = False in the log.  ``include_price=False``
-    drops the aggregation rows from the operator entirely (classical
-    congestion game); with kappa_phi = 0 the price prox pins P to zero
-    instead, which is the same optimum through a different operator.
+    Stops when |B + D| <= tol_gap (1 + |B|), also with D at gamma = f(m),
+    and the transport residual is below tol_gap, or at max_iter with
+    converged = False in the log.  ``include_price=False`` drops the
+    aggregation rows from the operator entirely (classical congestion
+    game); with kappa_phi = 0 the price prox pins P to zero instead, which
+    is the same optimum through a different operator.
     """
     opts = opts or SolverOptions()
     g = spec.grid
@@ -385,7 +385,9 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         log.append(it, Bv, Dv, gap, fp_res, price_res if include_price else 0.0)
         if not math.isfinite(gap + fp_res):  # also catches B = +inf with D = -inf
             raise Diverged(f"non-finite certificate at iteration {it}: B = {Bv}, D = {Dv}, fp_res = {fp_res}")
-        if abs(gap) <= opts.tol_gap * (1.0 + abs(Bv)) and fp_res <= opts.tol_gap:
+        # the returned Solution carries gamma = f(m), so its own gap (the verifier's) must hold too
+        tol_B = opts.tol_gap * (1.0 + abs(Bv))
+        if abs(gap) <= tol_B and fp_res <= opts.tol_gap and abs(Bv + eval_D(u, p, spec.coupling_f(m), spec)) <= tol_B:
             log.converged = True
             break
 

@@ -21,6 +21,7 @@ from mfgcontrols.varsolve import (
     residuals,
     solve_primal_dual,
 )
+from mfgcontrols.verify import weak_solution_report
 from oracle import transport_matrix
 
 
@@ -368,6 +369,18 @@ def test_loop_certificate_equals_functionals_of_solution(bump_spec, bump_solved)
     assert log.D[-1] == eval_D(u, P, dual_gamma(spec, u, P), spec)
     assert log.fp_res[-1] == fp_res
     assert log.price_res[-1] == price_res
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_converged_solution_certifies_its_own_gap(tol):
+    # the returned Solution carries gamma = f(m): the verifier's duality gap
+    # with it meets the stop tolerance, not only the loop's gap with the
+    # dual-feasible gamma (which a shift of u moves only to second order)
+    spec = uniform_instance()
+    sol, log = solve_primal_dual(spec, SolverOptions(max_iter=20000, tol_gap=tol))
+    rep, _ = weak_solution_report(sol, spec, tol=tol)
+    assert log.converged
+    assert abs(rep.duality_gap) <= tol * (1.0 + abs(log.B[-1]))
 
 
 def test_step_size_violation():
