@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 input error, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import shutil
@@ -173,9 +172,7 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(prog="mfgc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

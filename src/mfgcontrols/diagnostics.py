@@ -14,7 +14,7 @@ are restricted to the region where the weight base exceeds 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +36,14 @@ class RegularityRecord:
     space_shift_sums: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Field values; the shift tables get string keys."""
-        return {k: {str(a): b for a, b in v.items()} if isinstance(v, dict) else v for k, v in asdict(self).items()}
+        return {
+            "space_norm_m": self.space_norm_m,
+            "space_norm_j": self.space_norm_j,
+            "time_norm_m": {str(k): v for k, v in self.time_norm_m.items()},
+            "time_norm_P": {str(k): v for k, v in self.time_norm_P.items()},
+            "time_shift_sums": {str(k): v for k, v in self.time_shift_sums.items()},
+            "space_shift_sums": {str(k): v for k, v in self.space_shift_sums.items()},
+        }
 
 
 def j1(xi, spec: ProblemSpec):

@@ -20,7 +20,7 @@ diffusion matrix is constant; with constant A only the B cells occur.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -130,8 +130,19 @@ class CaseInfo:
     eta: float
 
     def to_dict(self) -> dict:
-        """Field values, with an infinite exponent written as "inf"."""
-        return {k: "inf" if v == np.inf else v for k, v in asdict(self).items()}
+        def enc(v):
+            return v if np.isfinite(v) else "inf"
+
+        return {
+            "p": self.p,
+            "r_prime": self.r_prime,
+            "s_prime": enc(self.s_prime),
+            "sigma": self.sigma,
+            "case_label": self.case_label,
+            "r_tilde": self.r_tilde,
+            "kappa": enc(self.kappa),
+            "eta": enc(self.eta),
+        }
 
 
 # -- problem specification ----------------------------------------------------

@@ -28,9 +28,11 @@ aggregation kernel, and on the transport multiplier u (the paper's sign; its
 conjugate term is linear, so any SPD metric will do) the step
 u -= (omega/tau) (K K^T)^-1 Rbar, K the linear part of the constraint.  The
 preconditioned operator has squared norm at most omega + tau sigma_P |G|^2
-< 1 on every mesh, so iteration counts do not grow under refinement.  R and
-the aggregated flux Z are affine in (m, w) and the extrapolation weights sum
-to one, so the dual step extrapolates the certificate's own R and Z.
+< 1 on every mesh, so iteration counts do not grow under refinement.  The
+bound holds for every tau, so the loop adapts tau by residual balancing
+with tau sigma_P fixed.  R and the aggregated flux Z are affine in (m, w)
+and the extrapolation weights sum to one, so the dual step extrapolates the
+certificate's own R and Z.
 """
 
 from __future__ import annotations
@@ -46,14 +48,17 @@ from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
 
 # OMEGA: the transport multiplier's share of the step bound (not the
-# congestion theta).  The primal step tau = TAU0 step_ratio sqrt(mean c /
-# mean theta) balances the congestion curvature theta against the kinetic
-# curvature 1/(c m) at unit density: tau = 0.03 on the 64 x 64 bump (whose
-# gap-1e-3 solutions fail the verifier at 5e-3 with tau = 0.01) and 0.3 on
-# the flat instances (where tau = 0.03 stops with m 1e-4 off in L1).
+# congestion theta).  TAU0 * step_ratio is the first primal step; after
+# each iteration the loop balances the primal residual |x_k - x_k+1|_1/tau
+# against the transport residual fp_res (Goldstein-Li-Yuan-Esser-Baraniuk
+# adaptive PDHG): tau grows by 1/(1 - alpha) while the ratio is above
+# BALANCE[1] and shrinks by 1 - alpha while it is below BALANCE[0], with
+# alpha = ADAPT0 * ADAPT_DECAY^j after j changes, so tau settles.
 OMEGA = 0.5
 STEP_BOUND = 0.99
-TAU0 = 0.3
+TAU0 = 0.03
+BALANCE = (1.0, 9.0)
+ADAPT0, ADAPT_DECAY = 0.5, 0.95
 
 
 @dataclass(frozen=True)
@@ -96,12 +101,13 @@ class Solution:
 class SolverOptions:
     """Step sizes and termination for the saddle-point loop.
 
-    tau is the primal step, TAU0 * step_ratio * sqrt(mean c / mean theta)
-    by default (c and theta the Hamiltonian and congestion coefficients).
-    sigma_step is the price step sigma_P, (0.99 - OMEGA)/(tau lambda_max(G))
-    by default; an explicit value is checked against
-    OMEGA + tau sigma_P |G|^2 <= 1.  The transport multiplier's step
-    (OMEGA/tau)(K K^T)^-1 follows from tau.
+    tau is the first primal step, TAU0 * step_ratio by default; the loop
+    then adapts it by residual balancing (see BALANCE).  sigma_step is the
+    first price step sigma_P, (0.99 - OMEGA)/(tau lambda_max(G)) by
+    default; an explicit value is checked against
+    OMEGA + tau sigma_P |G|^2 <= 1, and tau sigma_P stays fixed while tau
+    adapts.  The transport multiplier's step (OMEGA/tau)(K K^T)^-1 follows
+    from tau.
     """
 
     tau: float | None = None
@@ -125,7 +131,7 @@ class SolverOptions:
 
 @dataclass
 class ConvergenceLog:
-    """Per-iteration history of the saddle-point run; steps holds tau, omega and sigma_price."""
+    """Per-iteration history of the saddle-point run; steps holds the last tau, omega and sigma_price."""
 
     iters: list = field(default_factory=list)
     B: list = field(default_factory=list)
@@ -338,13 +344,15 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     g = spec.grid
     check_psd(spec.A, g.d)
 
-    tau = TAU0 * opts.step_ratio * math.sqrt(spec.c.mean() / spec.theta.mean()) if opts.tau is None else opts.tau
+    tau = TAU0 * opts.step_ratio if opts.tau is None else opts.tau
     phi = spec.phi.reshape(spec.k, -1)
     g2 = float(np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1]) if include_price else 0.0  # |G|^2
     sigma = opts.sigma_step or ((STEP_BOUND - OMEGA) / (tau * g2) if g2 > 0.0 else 1.0 / tau)
     if OMEGA + tau * sigma * g2 > 1.0 + 1e-9:
         raise StepSizeViolation(f"omega + tau*sigma*|G|^2 = {OMEGA + tau * sigma * g2:.3f} > 1")
-    u_step = _transport_step(spec, OMEGA / tau)
+    sigma_tau = sigma * tau  # kept while tau adapts, so the step bound holds throughout
+    u_step = _transport_step(spec, OMEGA)
+    alpha = ADAPT0
 
     if init is None:
         m, w, u, p = default_init(spec)
@@ -352,15 +360,16 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         m, w = init.m[1:].copy(), init.w[1:].copy()
         u, p = init.u[: g.nt].copy(), init.P[: g.nt].copy()
 
-    uT_shift = tau * spec.uT / g.ht
-    log = ConvergenceLog(steps={"tau": tau, "omega": OMEGA, "sigma_price": sigma if include_price else 0.0})
+    vol = g.ht * g.cell_volume
+    log = ConvergenceLog()
     log.m_min = float(np.min(m))
     R, Z = _constraint(spec, m, w), spec.aggregate_kernel(w)
     R_prev, Z_prev = R, Z
 
     for it in range(1, opts.max_iter + 1):
         # dual step at the extrapolated primal point, through the affine R and Z
-        u -= u_step(R + (R - R_prev))
+        u -= u_step(R + (R - R_prev)) / tau
+        sigma = sigma_tau / tau
         if include_price:
             p = prox_Phi_star(p + sigma * (Z + (Z - Z_prev)), sigma, spec.kappa_phi, spec.s)
         else:
@@ -371,7 +380,8 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         xi = grad_values(g, u) + spec.phi_transpose_price(p)
         gm = m + tau * _adjoint_m(spec, u)
         gw = w - tau * xi
-        gm[-1] -= uT_shift
+        gm[-1] -= tau * spec.uT / g.ht
+        m_old, w_old = m, w
         m, w = prox_kinetic_congestion(gm, gw.swapaxes(0, 1), tau, spec.c, spec.r, spec.theta, spec.q)
         w = w.swapaxes(0, 1)
 
@@ -391,5 +401,13 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
             log.converged = True
             break
 
+        # residual balancing: a lagging primal gets a longer step, a lagging transport residual a shorter one
+        primal_res = float(np.abs(m - m_old).sum() + np.abs(w - w_old).sum()) * vol / tau
+        if primal_res > BALANCE[1] * fp_res:
+            tau, alpha = tau / (1.0 - alpha), alpha * ADAPT_DECAY
+        elif primal_res < BALANCE[0] * fp_res:
+            tau, alpha = tau * (1.0 - alpha), alpha * ADAPT_DECAY
+
+    log.steps = {"tau": tau, "omega": OMEGA, "sigma_price": sigma_tau / tau if include_price else 0.0}
     log.iterations = log.iters[-1] if log.iters else 0
     return _finalize(spec, m, w, u, p), log

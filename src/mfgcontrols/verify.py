@@ -11,7 +11,7 @@ saddle-point output drives every entry to its solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,16 @@ class ResidualReport:
     m_min: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "duality_gap": self.duality_gap,
+            "hj_violation": self.hj_violation,
+            "fp_residual": self.fp_residual,
+            "price_residual": self.price_residual,
+            "feedback_residual": self.feedback_residual,
+            "complementarity": self.complementarity,
+            "mass_drift": self.mass_drift,
+            "m_min": self.m_min,
+        }
 
 
 def complementarity_value(sol: Solution, spec: ProblemSpec) -> float:

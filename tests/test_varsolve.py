@@ -289,6 +289,18 @@ def test_iterations_mesh_independent():
     assert max(iters) <= 1.25 * min(iters), iters
 
 
+@pytest.mark.parametrize("motion_cost,parent_iterations", [(1.0, 4972), (0.1, 5504)])
+def test_vacuum_bump_converges(motion_cost, parent_iterations):
+    # cheap control empties part of the torus (m = 0 on some nodes); there a
+    # fixed primal step can leave fp_res hovering near 1e-6 for 20,000
+    # iterations, so the default must still reach gap 1e-6 within the
+    # iterations plain PDHG took
+    spec = bump_instance(nx=32, nt=32, motion_cost=motion_cost)
+    sol, log = solve_primal_dual(spec, SolverOptions(max_iter=parent_iterations, tol_gap=1e-6))
+    assert log.converged, (log.gap[-1], log.fp_res[-1])
+    assert np.min(sol.m) == 0.0
+
+
 def test_non_finite_certificate_raises_diverged(monkeypatch):
     spec = uniform_instance(nx=8, nt=4)
 
