@@ -3,7 +3,7 @@
 The package minimizes the transport-constrained primal cost of a
 price-coupled congestion game on the periodic lattice, recovers the dual
 fields (value function, price, congestion multiplier), cross-checks with an
-independent damped fixed-point solver, and certifies candidate equilibria
+independent Anderson-mixed fixed-point solver, and certifies candidate equilibria
 through duality-gap, complementarity and residual reports, plus Sobolev-type
 regularity diagnostics.
 """

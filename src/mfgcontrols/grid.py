@@ -161,7 +161,7 @@ def diffusion_values(grid: Grid, A: np.ndarray, u: np.ndarray) -> np.ndarray:
     Self-adjoint on the periodic lattice; with constant coefficients the same
     routine serves both the second-order term of the backward equation and
     its formal adjoint in the transport equation.  A raw stencil: A is not
-    validated here, callers run ``check_psd`` once at their entry.
+    validated here; callers pass ``ProblemSpec.A_psd``, checked once per spec.
     """
     lead = u.ndim - grid.d
     out = np.zeros_like(u, dtype=float)

@@ -27,8 +27,8 @@ def bump_instance(nx: int = 64, nt: int = 64, T: float = 1.0, mu: float = 0.3,
     The off-center bump breaks the symmetry of the terminal cost, so the
     aggregate flux and the price path are nonzero.  The small Hamiltonian
     coefficient keeps control expensive: the equilibrium stays smooth and
-    strictly positive, which both solvers (and the damped fixed-point loop
-    in particular) need to operate.
+    strictly positive, which both solvers (and the fixed-point loop in
+    particular) need to operate.
     """
     grid = Grid(d=1, nx=nx, nt=nt, T=T)
     x = grid.axis_coords()

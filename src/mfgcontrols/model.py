@@ -234,6 +234,13 @@ class ProblemSpec:
     def price_free(self) -> bool:
         return self.kappa_phi == 0.0
 
+    # -- validated once per spec; a failed check is not cached and raises again
+
+    @cached_property
+    def A_psd(self) -> np.ndarray:
+        """A after the symmetric positive-semidefinite check (NotPSD otherwise)."""
+        return check_psd(self.A, self.grid.d)
+
     # -- coefficient powers of the conjugates, computed once per spec
 
     @cached_property
@@ -379,7 +386,7 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     rep.record("H2_hamiltonian", ok, "" if ok else f"need r > 1 and c > 0 (r={spec.r}, c_min={spec.c.min()})")
 
     try:
-        check_psd(spec.A, g.d)
+        spec.A_psd
         rep.record("H3_diffusion", True)
     except NotPSD as exc:
         rep.record("H3_diffusion", False, str(exc))

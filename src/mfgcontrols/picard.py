@@ -1,18 +1,27 @@
-"""Damped fixed-point solver for the coupled system, used as a cross-check.
+"""Anderson-accelerated fixed-point solver for the coupled system, used as a cross-check.
 
-One outer sweep maps (m, P) to (m+, P+) through four stages: a backward
-explicit pass for the value function with a monotone (Osher-Sethian type)
-upwind Hamiltonian, pointwise feedback evaluation, a forward conservative
-upwind pass for the density, and the price update.  Each explicit pass
-subcycles its grid intervals with enough internal substeps to satisfy the
-CFL bound computed from the current wave speeds; forcing ``substeps=1`` on
-a violating configuration raises CFLViolation with the admissible step.
+One outer sweep maps x = (m, P) to G(x) = (m+, P+) through four stages: a
+backward explicit pass for the value function with a monotone
+(Osher-Sethian type) upwind Hamiltonian, pointwise feedback evaluation, a
+forward conservative upwind pass for the density, and the price update.
+Each explicit pass subcycles its grid intervals with enough internal
+substeps to satisfy the CFL bound computed from the current wave speeds;
+forcing ``substeps=1`` on a violating configuration raises CFLViolation
+with the admissible step.
+
+The damped map x + beta (G(x) - x) contracts only for small beta (about
+0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes the last five
+sweeps by Anderson acceleration (~140 sweeps there); see ``picard_iterate``.
+Mixing conserves mass, since every difference it combines has zero mass.
 
 Only the two explicit passes step through time.  The feedback and price
 stages act on all nt+1 time slices in one vectorised call each, and the
 price shift phi^T P and the transport face velocities are likewise formed
-for the whole path before the passes start.  The diffusion matrix A is
-validated once per sweep entry, and the diffusion stencil runs only when
+for the whole path before the passes start.  One-sided differences come
+from one periodic wrap of the field (``take`` with the index
+[n-1, 0, ..., n-1, 0]) sliced both ways, and the transport fluxes live on
+the matching wrapped face list.  The diffusion matrix A is validated once
+per spec (``ProblemSpec.A_psd``), and the diffusion stencil runs only when
 A != 0; at A = 0 no diffusion term is formed at all.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
@@ -25,14 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolation, InvalidOption
-from .grid import check_psd, diffusion_values, shift
+from .errors import CFLViolation, InvalidOption, NegativeDensity
+from .grid import diffusion_values
 from .model import ProblemSpec
 from .varsolve import Solution
+
+ANDERSON_DEPTH = 5  # residual differences kept by the Anderson mixing
+GRAM_RCOND = 1e-14  # relative singular-value cut-off in the Anderson Gram solve
 
 
 @dataclass
 class PicardOptions:
+    """``damping`` is the Anderson mixing weight beta.  The loop stops once the
+    residual is strictly below ``tol_fixed_point``, so 0 runs ``max_outer`` sweeps.
+    """
+
     damping: float = 0.5
     max_outer: int = 200
     tol_fixed_point: float = 1e-9
@@ -58,31 +74,23 @@ class PicardResult:
     residuals: list
 
 
-def _upwind_ham_parts(spec: ProblemSpec, u: np.ndarray, g_shift: np.ndarray):
-    """One-sided slope selection for the shifted Hamiltonian argument.
+def _wrap_index(n: int) -> np.ndarray:
+    """Take-index [n-1, 0, 1, ..., n-1, 0]: an axis with one periodic ghost node at each end."""
+    return np.arange(-1, n + 1) % n
 
-    u is (..., *space) and g_shift (..., d, *space), so one call serves a
-    single slice or the whole time path.  Returns (xi_sq, xi) where xi_sq
-    is the Osher-Sethian squared magnitude
-    sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2 and xi the
-    signed selected vector used by the feedback.
-    """
-    g = spec.grid
-    hx = g.hx
-    lead = u.ndim - g.d
-    comp = (slice(None),) * lead
-    xi_sq = 0.0
-    xi = np.empty(g_shift.shape)
-    for i in range(g.d):
-        ax = lead + i
-        dp = (shift(u, -1, ax) - u) / hx
-        dm = shift(dp, 1, ax)  # D^-_i u at a node is D^+_i u at its left neighbour
-        gi = g_shift[comp + (i,)]
-        a = np.maximum(dm + gi, 0.0)
-        b = np.minimum(dp + gi, 0.0)
-        xi_sq = xi_sq + (a * a + b * b)
-        xi[comp + (i,)] = a + b
-    return xi_sq, xi
+
+def _ends(ax: int) -> tuple:
+    """Index tuples dropping the last and the first entry of axis ax."""
+    lead = (slice(None),) * ax
+    return lead + (slice(None, -1),), lead + (slice(1, None),)
+
+
+def _slopes(u: np.ndarray, ax: int, idx: np.ndarray, hx: float):
+    """(D^- u, D^+ u) along axis ax, both sliced from one periodic wrap of u."""
+    lo, hi = _ends(ax)
+    ext = u.take(idx, axis=ax)
+    diff = (ext[hi] - ext[lo]) / hx  # entry k is D^- u at node k, i.e. D^+ u at node k - 1
+    return diff[lo], diff[hi]
 
 
 def _diffusion_cfl(spec: ProblemSpec) -> float:
@@ -100,37 +108,48 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
 
     m is the full (nt+1)-slotted density, P the full price path; the output
     u is slotted at the left interval endpoints with u[nt] = u_T.  Substeps
-    per interval are chosen from the CFL bound unless forced.
+    per interval are chosen from the CFL bound unless forced.  Each substep
+    forms the Osher-Sethian sum
+    xi_sq = sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2
+    (g = phi^T P) and steps u by ht (f(m) - c xi_sq^(r/2) / r + A_ij d_ij u).
     """
     opts = opts or PicardOptions()
     g = spec.grid
-    check_psd(spec.A, g.d)
-    diffusive = np.any(spec.A)
+    A = spec.A_psd
+    diffusive = np.any(A)
     if np.min(m) < -1e-12:
-        raise ValueError("solve_hjb requires m >= 0")
+        raise NegativeDensity("solve_hjb requires m >= 0")
+    d, hx, ht = g.d, g.hx, g.ht
+    c, r = spec.c, spec.r
+    speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from xi_sq
+    limit = opts.cfl_safety * (1.0 + 1e-12)
+    idx = _wrap_index(g.nx)
     u = np.empty(g.scalar_shape)
     u[g.nt] = spec.uT
     fm = spec.coupling_f(np.maximum(m, 0.0))
     g_shift = spec.phi_transpose_price(P)
     diff_rate = _diffusion_cfl(spec)
     for j in range(g.nt - 1, -1, -1):
-        rhs = fm[j + 1]
+        rhs, gj = fm[j + 1], g_shift[j]
         n_sub = 1 if substeps is None else substeps
         while True:
-            dt = g.ht / n_sub
+            dt = ht / n_sub
             cur = u[j + 1]
             ok = True
             for _ in range(n_sub):
-                xi_sq, _ = _upwind_ham_parts(spec, cur, g_shift[j])
-                norm = np.sqrt(xi_sq)
-                speed = float(np.max(spec.c * np.where(norm > 0.0, norm ** (spec.r - 1.0), 0.0)))
-                rate = g.d * speed / g.hx + diff_rate
-                if dt * rate > opts.cfl_safety * (1.0 + 1e-12):
+                xi_sq = 0.0
+                for i in range(d):
+                    dm, dp = _slopes(cur, i, idx, hx)
+                    a = np.maximum(dm + gj[i], 0.0)
+                    b = np.minimum(dp + gj[i], 0.0)
+                    xi_sq = xi_sq + (a * a + b * b)
+                rate = d * float((c * xi_sq**speed_expo).max()) / hx + diff_rate
+                if dt * rate > limit:
                     ok = False
                     break
-                ham = spec.c * xi_sq ** (spec.r / 2.0) / spec.r
+                ham = c * xi_sq**ham_expo / r
                 if diffusive:
-                    ham -= diffusion_values(g, spec.A, cur)  # now H - A_ij d_ij u
+                    ham -= diffusion_values(g, A, cur)  # now H - A_ij d_ij u
                 cur = cur + dt * (rhs - ham)
             if ok:
                 break
@@ -146,8 +165,21 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
 
 
 def feedback(u: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Optimal drift v = -dH(x, Du + phi^T P) with the same one-sided slopes, all slices at once."""
-    _, xi = _upwind_ham_parts(spec, u, spec.phi_transpose_price(P))
+    """Optimal drift v = -dH(x, xi), all slices at once.
+
+    xi_i = max(D^-_i u + g_i, 0) + min(D^+_i u + g_i, 0) with g = phi^T P:
+    the signed vector of the one-sided slopes the value sweep selects.
+    """
+    g = spec.grid
+    g_shift = spec.phi_transpose_price(P)
+    lead = u.ndim - g.d
+    comp = (slice(None),) * lead
+    idx = _wrap_index(g.nx)
+    xi = np.empty(g_shift.shape)
+    for i in range(g.d):
+        dm, dp = _slopes(u, lead + i, idx, g.hx)
+        gi = g_shift[comp + (i,)]
+        xi[comp + (i,)] = np.maximum(dm + gi, 0.0) + np.minimum(dp + gi, 0.0)
     return -spec.dH(xi)
 
 
@@ -157,40 +189,54 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
 
     Interval n is driven by the drift slice v[n-1]; mass is conserved
     exactly by the flux form and nonnegativity holds under the CFL bound
-    (for diagonally dominant A).
+    (for diagonally dominant A).  Fluxes live on the wrapped face list:
+    along each axis, entry k is the face between nodes k - 1 and k, so
+    both ends carry the same periodic face.
     """
     opts = opts or PicardOptions()
     g = spec.grid
-    check_psd(spec.A, g.d)
-    diffusive = np.any(spec.A)
+    A = spec.A_psd
+    diffusive = np.any(A)
+    d, hx, ht = g.d, g.hx, g.ht
+    idx = _wrap_index(g.nx)
+    ends = [_ends(i) for i in range(d)]
     m = np.empty(g.scalar_shape)
     m[0] = spec.m0
-    diff_rate = _diffusion_cfl(spec)
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
-    faces = np.stack([0.5 * (drift[:, i] + shift(drift[:, i], -1, 1 + i)) for i in range(g.d)], axis=1)
-    v_plus, v_minus = np.maximum(faces, 0.0), np.minimum(faces, 0.0)
+    rates = d * speeds / hx + _diffusion_cfl(spec)
+    needed = np.ceil(rates * ht / max(opts.cfl_safety, 1e-300) - 1e-12)
+    # capped before the cast, so an infinite or NaN rate refuses the interval below
+    needed = np.maximum(1, np.fmin(needed, opts.max_substeps + 1)).astype(int)
+    v_plus, v_minus = [], []
+    for i in range(d):
+        lo, hi = _ends(1 + i)
+        wrapped = drift[:, i].take(idx, axis=1 + i)
+        faces = 0.5 * (wrapped[lo] + wrapped[hi])
+        v_plus.append(np.maximum(faces, 0.0))
+        v_minus.append(np.minimum(faces, 0.0))
     for n in range(1, g.nt + 1):
-        rate = g.d * float(speeds[n - 1]) / g.hx + diff_rate
-        needed = max(1, int(np.ceil(rate * g.ht / max(opts.cfl_safety, 1e-300) - 1e-12)))
-        n_sub = needed if substeps is None else substeps
-        if n_sub < needed or n_sub > opts.max_substeps:
-            admissible = opts.cfl_safety / max(rate, 1e-300)
+        n_sub = int(needed[n - 1]) if substeps is None else substeps
+        if n_sub < needed[n - 1] or n_sub > opts.max_substeps:
+            admissible = opts.cfl_safety / max(float(rates[n - 1]), 1e-300)
             raise CFLViolation(
                 f"explicit transport sweep needs ht <= {admissible:.3e} (interval {n})",
                 admissible_ht=admissible,
             )
-        dt = g.ht / n_sub
-        vp, vm = v_plus[n - 1], v_minus[n - 1]
+        dt = ht / n_sub
+        vp = [a[n - 1] for a in v_plus]
+        vm = [a[n - 1] for a in v_minus]
         cur = m[n - 1]
         for _ in range(n_sub):
             flux_div = 0.0
-            for i in range(g.d):
-                flux = vp[i] * cur + vm[i] * shift(cur, -1, i)
-                flux_div = flux_div + (flux - shift(flux, 1, i)) / g.hx
+            for i in range(d):
+                lo, hi = ends[i]
+                ext = cur.take(idx, axis=i)
+                flux = vp[i] * ext[lo] + vm[i] * ext[hi]
+                flux_div = flux_div + (flux[hi] - flux[lo]) / hx
             new = cur - dt * flux_div
             if diffusive:
-                new += dt * diffusion_values(g, spec.A, cur)
+                new += dt * diffusion_values(g, A, cur)
             cur = new
         m[n] = cur
     return m
@@ -202,27 +248,67 @@ def update_price(m: np.ndarray, v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 
 def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> PicardResult:
-    """Damped fixed-point loop on (m, P); packages w = m v and gamma = f(m)."""
+    """Anderson-mixed fixed-point loop on x = (m, P); packages w = m v and gamma = f(m).
+
+    Each sweep evaluates the residual f = G(x) - x, stops once
+    max|f_m| + max|f_P| < tol_fixed_point, and otherwise takes the type-II
+    Anderson step (Walker and Ni, SIAM J. Numer. Anal. 2011) with beta = damping
+
+        x+ = x + beta f - (dX + beta dF) alpha,  alpha = argmin |f - dF alpha|,
+
+    over the last ANDERSON_DEPTH differences dX of iterates and dF of
+    residuals, kept in preallocated ring buffers with their Gram matrix
+    dF dF^T.  alpha = 0 (no usable history) is the damped step x + beta f,
+    which also replaces a candidate with a negative density (keeping m >= 0)
+    and clears the history.
+    """
     opts = opts or PicardOptions()
     g = spec.grid
-    m = np.broadcast_to(spec.m0, g.scalar_shape).copy()
-    P = np.zeros((g.nt + 1, spec.k))
-    lam = opts.damping
+    beta = opts.damping
+    n_m = int(np.prod(g.scalar_shape))
+    x = np.zeros(n_m + (g.nt + 1) * spec.k)
+    x[:n_m] = np.broadcast_to(spec.m0, g.scalar_shape).ravel()
+    # one difference per row; the Gram matrix gains one row and column per sweep
+    dX = np.empty((ANDERSON_DEPTH, x.size))
+    dF = np.empty((ANDERSON_DEPTH, x.size))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    n_pairs = 0
+    x_prev = f_prev = None
     residuals = []
     converged = False
+    m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
     u = solve_hjb(m, P, spec, opts)
     v = feedback(u, P, spec)
     n_outer = 0
     for n_outer in range(1, opts.max_outer + 1):
         m_new = solve_fp(v, spec, opts)
-        P_new = update_price(m_new, v, spec)
-        res = float(np.max(np.abs(m_new - m))) + float(np.max(np.abs(P_new - P)))
+        f = np.concatenate((m_new.ravel(), update_price(m_new, v, spec).ravel()))
+        f -= x
+        res = float(np.abs(f[:n_m]).max()) + float(np.abs(f[n_m:]).max())
         residuals.append(res)
-        m = (1.0 - lam) * m + lam * m_new
-        P = (1.0 - lam) * P + lam * P_new
+        x_next = x + beta * f
+        if f_prev is not None:
+            slot = n_pairs % ANDERSON_DEPTH
+            np.subtract(x, x_prev, out=dX[slot])
+            np.subtract(f, f_prev, out=dF[slot])
+            n_pairs += 1
+            k = min(n_pairs, ANDERSON_DEPTH)
+            col = dF[:k] @ dF[slot]
+            gram[slot, :k] = col
+            gram[:k, slot] = col
+            # least squares on the k x k normal equations; rcond drops a zero or
+            # collinear history, down to alpha = 0 (the damped step)
+            alpha = np.linalg.lstsq(gram[:k, :k], dF[:k] @ f, rcond=GRAM_RCOND)[0]
+            candidate = x_next - alpha @ dX[:k] - beta * (alpha @ dF[:k])
+            if candidate[:n_m].min() < 0.0:
+                n_pairs = 0
+            else:
+                x_next = candidate
+        x_prev, f_prev, x = x, f, x_next
+        m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
         u = solve_hjb(m, P, spec, opts)
         v = feedback(u, P, spec)
-        if res <= opts.tol_fixed_point:
+        if res < opts.tol_fixed_point:
             converged = True
             break
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, InvalidOption, StepSizeViolation
-from .grid import Grid, check_psd, div_values, diffusion_values, grad_values
+from .grid import Grid, div_values, diffusion_values, grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
 
@@ -342,7 +342,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     """
     opts = opts or SolverOptions()
     g = spec.grid
-    check_psd(spec.A, g.d)
+    spec.A_psd  # raises NotPSD
 
     tau = TAU0 * opts.step_ratio if opts.tau is None else opts.tau
     phi = spec.phi.reshape(spec.k, -1)

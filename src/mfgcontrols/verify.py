@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOption, PerspectiveViolation
-from .grid import check_psd, grad_values
+from .grid import grad_values
 from .model import ProblemSpec
 from .varsolve import (
     Solution,
@@ -83,7 +83,7 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     all below tol and the density minimum is above -tol.
     """
     g = spec.grid
-    check_psd(spec.A, g.d)
+    spec.A_psd  # raises NotPSD
     ht, vol = g.ht, g.cell_volume
     # interval fields: m, w, gamma at right nodes, u, P at left nodes
     m, w, gamma = sol.m[1:], sol.w[1:], sol.gamma[1:]

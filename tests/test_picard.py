@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mfgcontrols.errors import CFLViolation, InvalidOption
+from mfgcontrols import picard
+from mfgcontrols.errors import CFLViolation, InvalidOption, NegativeDensity
 from mfgcontrols.grid import Grid
-from mfgcontrols.instances import uniform_instance
+from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec
 from mfgcontrols.picard import (
     PicardOptions,
@@ -132,6 +133,84 @@ def test_picard_infinite_tolerance_one_sweep():
     assert result.iterations == 1
     assert np.all(np.isfinite(result.solution.m))
     assert np.all(np.isfinite(result.solution.u))
+
+
+def test_picard_zero_differences_run_to_max_outer():
+    # the flat fixed point is exact: every residual and every Anderson
+    # difference is zero, and tol 0 is never met, so all five sweeps run on
+    # an all-zero history
+    spec = uniform_instance(nx=16, nt=8)
+    result = picard_iterate(spec, PicardOptions(damping=1.0, tol_fixed_point=0.0, max_outer=5))
+    assert result.iterations == 5
+    assert not result.converged
+    assert result.residuals == [0.0] * 5
+    sol = result.solution
+    for field in (sol.u, sol.m, sol.w, sol.P, sol.gamma):
+        assert np.all(np.isfinite(field))
+    assert np.max(np.abs(sol.m - 1.0)) <= 1e-12
+
+
+def test_negative_anderson_candidate_falls_back_to_damped_step(monkeypatch):
+    # A synthetic expanding map m -> 2m - m_star: the damped iterates move
+    # away from m_star and stay positive, while one Anderson step lands on
+    # m_star exactly, whose negative column must be refused every time
+    spec = uniform_instance(nx=8, nt=4)
+    g = spec.grid
+    m_star = np.ones(g.scalar_shape)
+    m_star[:, 3] = -0.5
+    iterates = []
+
+    def fake_hjb(m, P, spec, opts=None):
+        iterates.append(m.copy())
+        return np.zeros(g.scalar_shape)
+
+    monkeypatch.setattr(picard, "solve_hjb", fake_hjb)
+    monkeypatch.setattr(picard, "feedback", lambda u, P, spec: np.zeros(g.vector_shape))
+    monkeypatch.setattr(picard, "solve_fp", lambda v, spec, opts=None: 2.0 * iterates[-1] - m_star)
+    monkeypatch.setattr(picard, "update_price", lambda m, v, spec: np.zeros((g.nt + 1, 1)))
+    beta = 0.5
+    result = picard_iterate(spec, PicardOptions(damping=beta, max_outer=6))
+    assert not result.converged
+    assert len(iterates) == 7
+    for prev, nxt in zip(iterates, iterates[1:]):
+        assert np.min(nxt) >= 0.0
+        damped = prev + beta * ((2.0 * prev - m_star) - prev)
+        assert np.max(np.abs(nxt - damped)) <= 1e-12
+
+
+def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
+    spec = bump_instance(nx=32, nt=32)
+    g = spec.grid
+    densities = []
+    real_hjb = picard.solve_hjb
+
+    def recording_hjb(m, P, spec, opts=None):
+        densities.append(m.copy())
+        return real_hjb(m, P, spec, opts)
+
+    monkeypatch.setattr(picard, "solve_hjb", recording_hjb)
+    result = picard_iterate(spec, PicardOptions(damping=0.05, max_outer=2000, tol_fixed_point=1e-10))
+    assert result.converged
+    assert result.iterations <= 150
+    assert len(densities) == result.iterations + 1
+    for m in densities:
+        assert np.min(m) >= 0.0
+        assert np.max(np.abs(m.sum(axis=1) * g.cell_volume - 1.0)) <= 1e-12
+
+
+def test_readme_quickstart_picard_converges():
+    # the call the README quick-start makes, with the default budget and tolerance
+    alt = picard_iterate(bump_instance(), PicardOptions(damping=0.05))
+    assert alt.converged
+
+
+def test_hjb_rejects_negative_density():
+    spec = uniform_instance(nx=16, nt=8)
+    g = spec.grid
+    m = np.ones(g.scalar_shape)
+    m[2, 5] = -1e-6
+    with pytest.raises(NegativeDensity):
+        solve_hjb(m, np.zeros((g.nt + 1, 1)), spec)
 
 
 def test_picard_uniform_2d():
