@@ -10,8 +10,8 @@ forcing ``substeps=1`` on a violating configuration raises CFLViolation
 with the admissible step.
 
 The damped map x + beta (G(x) - x) contracts only for small beta (about
-0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes the last five
-sweeps by Anderson acceleration (~140 sweeps there); see ``picard_iterate``.
+0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes the last thirty
+sweeps by Anderson acceleration (~90 sweeps there); see ``picard_iterate``.
 Mixing conserves mass, since every difference it combines has zero mass.
 
 Only the two explicit passes step through time.  The feedback and price
@@ -20,9 +20,10 @@ price shift phi^T P and the transport face velocities are likewise formed
 for the whole path before the passes start.  One-sided differences come
 from one periodic wrap of the field (``take`` with the index
 [n-1, 0, ..., n-1, 0]) sliced both ways, and the transport fluxes live on
-the matching wrapped face list.  The diffusion matrix A is validated once
-per spec (``ProblemSpec.A_psd``), and the diffusion stencil runs only when
-A != 0; at A = 0 no diffusion term is formed at all.
+the matching wrapped face list.  The per-axis slice tuples are built once
+per pass, and each substep updates its temporaries in place.  The
+diffusion matrix A is validated once per spec (``ProblemSpec.A_psd``), and
+the diffusion stencil and its CFL term are formed only when A != 0.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
 stencils, so agreement of the two solvers is a meaningful uniqueness check.
@@ -39,8 +40,11 @@ from .grid import diffusion_values
 from .model import ProblemSpec
 from .varsolve import Solution
 
-ANDERSON_DEPTH = 5  # residual differences kept by the Anderson mixing
-GRAM_RCOND = 1e-14  # relative singular-value cut-off in the Anderson Gram solve
+# Residual differences kept by the Anderson mixing.  Depth m acts like GMRES
+# restarted every m residuals; on seven test instances 30 needs at most as
+# many sweeps as 5, and about 0.6x as many on the 64 x 64 bump.
+ANDERSON_DEPTH = 30
+GRAM_SHIFT = 1e-14  # added to the unit diagonal of the Anderson Gram matrix
 
 
 @dataclass
@@ -56,6 +60,8 @@ class PicardOptions:
     max_substeps: int = 4096
 
     def __post_init__(self):
+        if not self.tol_fixed_point >= 0.0:
+            raise InvalidOption("tol_fixed_point must be >= 0")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidOption("damping must lie in (0, 1]")
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -124,33 +130,49 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from xi_sq
     limit = opts.cfl_safety * (1.0 + 1e-12)
     idx = _wrap_index(g.nx)
+    axes = [(i, *_ends(i)) for i in range(d)]
     u = np.empty(g.scalar_shape)
     u[g.nt] = spec.uT
     fm = spec.coupling_f(np.maximum(m, 0.0))
     g_shift = spec.phi_transpose_price(P)
-    diff_rate = _diffusion_cfl(spec)
+    diff_rate = _diffusion_cfl(spec) if diffusive else 0.0
     for j in range(g.nt - 1, -1, -1):
-        rhs, gj = fm[j + 1], g_shift[j]
+        rhs, gj, cur = fm[j + 1], g_shift[j], u[j]
         n_sub = 1 if substeps is None else substeps
         while True:
             dt = ht / n_sub
-            cur = u[j + 1]
+            cur[...] = u[j + 1]
             ok = True
             for _ in range(n_sub):
-                xi_sq = 0.0
-                for i in range(d):
-                    dm, dp = _slopes(cur, i, idx, hx)
-                    a = np.maximum(dm + gj[i], 0.0)
-                    b = np.minimum(dp + gj[i], 0.0)
-                    xi_sq = xi_sq + (a * a + b * b)
-                rate = d * float((c * xi_sq**speed_expo).max()) / hx + diff_rate
+                for i, lo, hi in axes:
+                    ext = cur.take(idx, axis=i)
+                    diff = ext[hi] - ext[lo]
+                    diff /= hx  # entry k is D^- u at node k, i.e. D^+ u at node k - 1
+                    a = diff[lo] + gj[i]
+                    b = diff[hi] + gj[i]
+                    np.maximum(a, 0.0, out=a)
+                    np.minimum(b, 0.0, out=b)
+                    a *= a
+                    b *= b
+                    a += b
+                    if i:
+                        xi_sq += a
+                    else:
+                        xi_sq = a
+                speed = xi_sq**speed_expo
+                speed *= c
+                rate = d * float(speed.max()) / hx + diff_rate
                 if dt * rate > limit:
                     ok = False
                     break
-                ham = c * xi_sq**ham_expo / r
+                ham = xi_sq**ham_expo
+                ham *= c
+                ham /= r
                 if diffusive:
                     ham -= diffusion_values(g, A, cur)  # now H - A_ij d_ij u
-                cur = cur + dt * (rhs - ham)
+                np.subtract(rhs, ham, out=ham)  # f(m) - H + A_ij d_ij u
+                ham *= dt
+                cur += ham
             if ok:
                 break
             if substeps is not None or n_sub >= opts.max_substeps:
@@ -160,7 +182,6 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
                     admissible_ht=admissible,
                 )
             n_sub = min(2 * n_sub, opts.max_substeps)
-        u[j] = cur
     return u
 
 
@@ -199,12 +220,12 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
     diffusive = np.any(A)
     d, hx, ht = g.d, g.hx, g.ht
     idx = _wrap_index(g.nx)
-    ends = [_ends(i) for i in range(d)]
+    axes = [(i, *_ends(i)) for i in range(d)]
     m = np.empty(g.scalar_shape)
     m[0] = spec.m0
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
-    rates = d * speeds / hx + _diffusion_cfl(spec)
+    rates = d * speeds / hx + (_diffusion_cfl(spec) if diffusive else 0.0)
     needed = np.ceil(rates * ht / max(opts.cfl_safety, 1e-300) - 1e-12)
     # capped before the cast, so an infinite or NaN rate refuses the interval below
     needed = np.maximum(1, np.fmin(needed, opts.max_substeps + 1)).astype(int)
@@ -215,7 +236,8 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
         faces = 0.5 * (wrapped[lo] + wrapped[hi])
         v_plus.append(np.maximum(faces, 0.0))
         v_minus.append(np.minimum(faces, 0.0))
-    for n in range(1, g.nt + 1):
+    # per interval, the tuples of its face velocities along each axis
+    for n, vp, vm in zip(range(1, g.nt + 1), zip(*v_plus), zip(*v_minus)):
         n_sub = int(needed[n - 1]) if substeps is None else substeps
         if n_sub < needed[n - 1] or n_sub > opts.max_substeps:
             admissible = opts.cfl_safety / max(float(rates[n - 1]), 1e-300)
@@ -224,17 +246,20 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
                 admissible_ht=admissible,
             )
         dt = ht / n_sub
-        vp = [a[n - 1] for a in v_plus]
-        vm = [a[n - 1] for a in v_minus]
         cur = m[n - 1]
         for _ in range(n_sub):
-            flux_div = 0.0
-            for i in range(d):
-                lo, hi = ends[i]
+            for i, lo, hi in axes:
                 ext = cur.take(idx, axis=i)
-                flux = vp[i] * ext[lo] + vm[i] * ext[hi]
-                flux_div = flux_div + (flux[hi] - flux[lo]) / hx
-            new = cur - dt * flux_div
+                flux = vp[i] * ext[lo]
+                flux += vm[i] * ext[hi]
+                div = flux[hi] - flux[lo]
+                div /= hx
+                if i:
+                    flux_div += div
+                else:
+                    flux_div = div
+            flux_div *= dt
+            new = cur - flux_div
             if diffusive:
                 new += dt * diffusion_values(g, A, cur)
             cur = new
@@ -254,13 +279,17 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
     max|f_m| + max|f_P| < tol_fixed_point, and otherwise takes the type-II
     Anderson step (Walker and Ni, SIAM J. Numer. Anal. 2011) with beta = damping
 
-        x+ = x + beta f - (dX + beta dF) alpha,  alpha = argmin |f - dF alpha|,
+        x+ = y - dY alpha,  y = x + beta f,  alpha = argmin |f - dF alpha|,
 
-    over the last ANDERSON_DEPTH differences dX of iterates and dF of
-    residuals, kept in preallocated ring buffers with their Gram matrix
-    dF dF^T.  alpha = 0 (no usable history) is the damped step x + beta f,
-    which also replaces a candidate with a negative density (keeping m >= 0)
-    and clears the history.
+    over the last ANDERSON_DEPTH differences dF of residuals and
+    dY = dX + beta dF of damped steps y, kept in preallocated ring buffers
+    with the Gram matrix dF dF^T.  Each pair of rows is divided by |dF_j|,
+    so the Gram matrix has a unit diagonal, and alpha solves the normal
+    equations with GRAM_SHIFT added to that diagonal: a singular history
+    (repeated or zero differences) still gives a finite alpha, and a zero
+    history gives alpha = 0, the damped step y.  The damped step also
+    replaces a candidate with a negative density (keeping m >= 0) and
+    clears the history.
     """
     opts = opts or PicardOptions()
     g = spec.grid
@@ -269,11 +298,11 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
     x = np.zeros(n_m + (g.nt + 1) * spec.k)
     x[:n_m] = np.broadcast_to(spec.m0, g.scalar_shape).ravel()
     # one difference per row; the Gram matrix gains one row and column per sweep
-    dX = np.empty((ANDERSON_DEPTH, x.size))
+    dY = np.empty((ANDERSON_DEPTH, x.size))
     dF = np.empty((ANDERSON_DEPTH, x.size))
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     n_pairs = 0
-    x_prev = f_prev = None
+    y_prev = f_prev = None
     residuals = []
     converged = False
     m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
@@ -286,25 +315,29 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
         f -= x
         res = float(np.abs(f[:n_m]).max()) + float(np.abs(f[n_m:]).max())
         residuals.append(res)
-        x_next = x + beta * f
+        x_next = y = x + beta * f
         if f_prev is not None:
             slot = n_pairs % ANDERSON_DEPTH
-            np.subtract(x, x_prev, out=dX[slot])
-            np.subtract(f, f_prev, out=dF[slot])
+            df, dy = dF[slot], dY[slot]
+            np.subtract(f, f_prev, out=df)
+            np.subtract(y, y_prev, out=dy)
+            norm = np.sqrt(df @ df)
+            if norm > 0.0:  # unit rows: a Jacobi-scaled Gram matrix; alpha dY is unchanged
+                df /= norm
+                dy /= norm
             n_pairs += 1
             k = min(n_pairs, ANDERSON_DEPTH)
-            col = dF[:k] @ dF[slot]
+            col, rhs = np.stack((df, f)) @ dF[:k].T  # one pass over dF
             gram[slot, :k] = col
             gram[:k, slot] = col
-            # least squares on the k x k normal equations; rcond drops a zero or
-            # collinear history, down to alpha = 0 (the damped step)
-            alpha = np.linalg.lstsq(gram[:k, :k], dF[:k] @ f, rcond=GRAM_RCOND)[0]
-            candidate = x_next - alpha @ dX[:k] - beta * (alpha @ dF[:k])
+            gram[slot, slot] += GRAM_SHIFT
+            alpha = np.linalg.solve(gram[:k, :k], rhs)
+            candidate = y - alpha @ dY[:k]
             if candidate[:n_m].min() < 0.0:
                 n_pairs = 0
             else:
                 x_next = candidate
-        x_prev, f_prev, x = x, f, x_next
+        y_prev, f_prev, x = y, f, x_next
         m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
         u = solve_hjb(m, P, spec, opts)
         v = feedback(u, P, spec)

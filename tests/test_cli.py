@@ -206,6 +206,7 @@ def _one_line_error(capsys):
     ["--method", "picard", "--max-iter", "0"],
     ["--max-iter", "0"],
     ["--tol=-1e-3"],
+    ["--method", "picard", "--tol=-1e-3", "--max-iter", "3"],
 ])
 def test_solve_invalid_option_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "bad"

@@ -150,14 +150,12 @@ def test_picard_zero_differences_run_to_max_outer():
     assert np.max(np.abs(sol.m - 1.0)) <= 1e-12
 
 
-def test_negative_anderson_candidate_falls_back_to_damped_step(monkeypatch):
-    # A synthetic expanding map m -> 2m - m_star: the damped iterates move
-    # away from m_star and stay positive, while one Anderson step lands on
-    # m_star exactly, whose negative column must be refused every time
-    spec = uniform_instance(nx=8, nt=4)
+def _synthetic_map(monkeypatch, spec, density_map):
+    """Replace the four stages by m -> density_map(m, sweep) at zero price.
+
+    Returns the list that records every iterate m the loop evaluates.
+    """
     g = spec.grid
-    m_star = np.ones(g.scalar_shape)
-    m_star[:, 3] = -0.5
     iterates = []
 
     def fake_hjb(m, P, spec, opts=None):
@@ -166,8 +164,19 @@ def test_negative_anderson_candidate_falls_back_to_damped_step(monkeypatch):
 
     monkeypatch.setattr(picard, "solve_hjb", fake_hjb)
     monkeypatch.setattr(picard, "feedback", lambda u, P, spec: np.zeros(g.vector_shape))
-    monkeypatch.setattr(picard, "solve_fp", lambda v, spec, opts=None: 2.0 * iterates[-1] - m_star)
+    monkeypatch.setattr(picard, "solve_fp", lambda v, spec, opts=None: density_map(iterates[-1], len(iterates)))
     monkeypatch.setattr(picard, "update_price", lambda m, v, spec: np.zeros((g.nt + 1, 1)))
+    return iterates
+
+
+def test_negative_anderson_candidate_falls_back_to_damped_step(monkeypatch):
+    # A synthetic expanding map m -> 2m - m_star: the damped iterates move
+    # away from m_star and stay positive, while one Anderson step lands on
+    # m_star exactly, whose negative column must be refused every time
+    spec = uniform_instance(nx=8, nt=4)
+    m_star = np.ones(spec.grid.scalar_shape)
+    m_star[:, 3] = -0.5
+    iterates = _synthetic_map(monkeypatch, spec, lambda m, sweep: 2.0 * m - m_star)
     beta = 0.5
     result = picard_iterate(spec, PicardOptions(damping=beta, max_outer=6))
     assert not result.converged
@@ -178,9 +187,40 @@ def test_negative_anderson_candidate_falls_back_to_damped_step(monkeypatch):
         assert np.max(np.abs(nxt - damped)) <= 1e-12
 
 
-def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
-    spec = bump_instance(nx=32, nt=32)
+def test_repeated_residual_differences_run_to_max_outer(monkeypatch):
+    # A synthetic map whose residual grows by the same field every sweep:
+    # every row of dF is that field, so the Gram matrix is singular but
+    # not zero, and the Anderson solve must still give finite iterates
+    spec = uniform_instance(nx=8, nt=4)
     g = spec.grid
+    step = 0.01 * np.cos(2 * np.pi * g.axis_coords()) * np.ones(g.scalar_shape)
+    iterates = _synthetic_map(monkeypatch, spec, lambda m, sweep: m + sweep * step)
+    result = picard_iterate(spec, PicardOptions(damping=0.5, tol_fixed_point=0.0, max_outer=12))
+    assert result.iterations == 12
+    assert not result.converged
+    assert len(iterates) == 13
+    assert np.all(np.isfinite(result.residuals))
+    for m in iterates:
+        assert np.all(np.isfinite(m))
+
+
+def test_exact_fixed_point_keeps_zero_difference_rows(monkeypatch):
+    # The constant map m -> m_star is met exactly by the first undamped step
+    # (1 + 0.5 and 1.5 - 1 are exact), so from the third sweep on each new
+    # row of dF is zero beside a nonzero first row; tol 0 keeps the loop going
+    spec = uniform_instance(nx=8, nt=4)
+    m_star = np.ones(spec.grid.scalar_shape)
+    m_star[:, 3] = 1.5
+    iterates = _synthetic_map(monkeypatch, spec, lambda m, sweep: m_star)
+    result = picard_iterate(spec, PicardOptions(damping=1.0, tol_fixed_point=0.0, max_outer=5))
+    assert result.iterations == 5
+    assert result.residuals[1:] == [0.0] * 4
+    for m in iterates[1:]:
+        assert np.array_equal(m, m_star)
+
+
+def _record_densities(monkeypatch):
+    """Wrap the value sweep so that it records every iterate m; returns the list."""
     densities = []
     real_hjb = picard.solve_hjb
 
@@ -189,6 +229,13 @@ def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
         return real_hjb(m, P, spec, opts)
 
     monkeypatch.setattr(picard, "solve_hjb", recording_hjb)
+    return densities
+
+
+def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
+    spec = bump_instance(nx=32, nt=32)
+    g = spec.grid
+    densities = _record_densities(monkeypatch)
     result = picard_iterate(spec, PicardOptions(damping=0.05, max_outer=2000, tol_fixed_point=1e-10))
     assert result.converged
     assert result.iterations <= 150
@@ -196,6 +243,16 @@ def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
     for m in densities:
         assert np.min(m) >= 0.0
         assert np.max(np.abs(m.sum(axis=1) * g.cell_volume - 1.0)) <= 1e-12
+
+
+def test_bump_sweep_budget(monkeypatch):
+    # the settings of criterion 4 and the Picard benchmark on the 64 x 64 bump
+    densities = _record_densities(monkeypatch)
+    result = picard_iterate(bump_instance(), PicardOptions(damping=0.05, max_outer=900, tol_fixed_point=1e-10))
+    assert result.converged
+    assert result.iterations <= 100
+    for m in densities:
+        assert np.min(m) >= 0.0
 
 
 def test_readme_quickstart_picard_converges():
@@ -421,6 +478,7 @@ def test_vectorised_stages_bit_identical_on_bump(bump_spec):
 
 
 def test_picard_options_validation():
-    for bad in ({"max_outer": 0}, {"max_substeps": 0}, {"damping": 0.0}, {"cfl_safety": 1.5}):
+    for bad in ({"max_outer": 0}, {"max_substeps": 0}, {"damping": 0.0}, {"cfl_safety": 1.5},
+                {"tol_fixed_point": -1e-3}, {"tol_fixed_point": float("nan")}):
         with pytest.raises(InvalidOption):
             PicardOptions(**bad)
