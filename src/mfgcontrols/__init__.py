@@ -24,7 +24,6 @@ from .errors import (
     NotPSD,
     PerspectiveViolation,
     ShiftTooLarge,
-    StepSizeViolation,
 )
 from .grid import Grid
 from .model import CaseInfo, ProblemSpec, check_assumptions, classify_exponents

@@ -49,14 +49,13 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _input_csvs(config_path: str, raw: dict) -> list:
-    """(source, run-directory name) of each relative CSV path the config names.
+def _input_csvs(base: str, raw: dict) -> list:
+    """(source, run-directory name) of each relative CSV path a config in directory base names.
 
     verify and diagnose rebuild the instance against the run directory, so
     solve copies these files there under the same relative name; absolute
     paths resolve as they are.
     """
-    base = os.path.dirname(os.path.abspath(config_path))
     pairs = []
     for path in csv_paths(raw):
         if os.path.isabs(path):
@@ -70,10 +69,11 @@ def _input_csvs(config_path: str, raw: dict) -> list:
 
 
 def cmd_solve(args) -> int:
-    spec = load_spec(args.config)
-    case = classify_exponents(spec)  # raises HypothesisViolation naming the first failure
     raw = parse_config(args.config)
-    inputs = _input_csvs(args.config, raw)
+    base = os.path.dirname(os.path.abspath(args.config))
+    spec = build_spec(raw, base_dir=base)
+    case = classify_exponents(spec)  # raises HypothesisViolation naming the first failure
+    inputs = _input_csvs(base, raw)
 
     t0 = time.time()
     if args.method == "pd":
@@ -123,14 +123,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
-def _grid_and_spec_from_manifest(sol_dir: str):
-    manifest = sio.read_manifest(sol_dir)
-    spec = build_spec(manifest["config"], base_dir=sol_dir)
-    return manifest, spec
+def _spec_from_manifest(sol_dir: str):
+    return build_spec(sio.read_manifest(sol_dir)["config"], base_dir=sol_dir)
 
 
 def cmd_verify(args) -> int:
-    manifest, spec = _grid_and_spec_from_manifest(args.solution)
+    spec = _spec_from_manifest(args.solution)
     sol = sio.read_solution(args.solution, spec.grid)
     rep, verdict = weak_solution_report(sol, spec, tol=args.tol)
     print(json.dumps(rep.to_dict(), indent=2))
@@ -138,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    manifest, spec = _grid_and_spec_from_manifest(args.solution)
+    spec = _spec_from_manifest(args.solution)
     sol = sio.read_solution(args.solution, spec.grid)
     try:
         shifts = [float(tok) for tok in args.shifts.split(",") if tok.strip()]

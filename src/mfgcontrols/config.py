@@ -74,14 +74,15 @@ def _space_expression(text: str, grid: Grid, base_dir: str, is_density: bool) ->
     coords = grid.meshgrid()
     if name == "uniform":
         return np.ones(grid.space_shape) if is_density else np.zeros(grid.space_shape)
+    args = _floats(" ".join(toks[1:]))
     if name == "constant":
-        if len(toks) != 2:
+        if len(args) != 1:
             raise ConfigParse("constant expression needs one value")
-        return np.full(grid.space_shape, float(toks[1]))
+        return np.full(grid.space_shape, args[0])
     if name == "gaussian_bump":
-        if len(toks) != 3:
+        if len(args) != 2:
             raise ConfigParse("gaussian_bump expression needs 'mu sigma'")
-        mu, sigma = float(toks[1]), float(toks[2])
+        mu, sigma = args
         if sigma <= 0:
             raise ConfigParse("gaussian_bump sigma must be positive")
         out = np.ones(grid.space_shape)
@@ -90,9 +91,9 @@ def _space_expression(text: str, grid: Grid, base_dir: str, is_density: bool) ->
             out = out * np.exp(-0.5 * (dist / sigma) ** 2)
         return out / (out.sum() * grid.cell_volume)
     if name == "cosine":
-        if len(toks) != 3:
+        if len(args) != 2:
             raise ConfigParse("cosine expression needs 'k amp'")
-        freq, amp = float(toks[1]), float(toks[2])
+        freq, amp = args
         out = np.full(grid.space_shape, amp)
         for ax in coords:
             out = out * np.cos(2.0 * np.pi * freq * ax)

@@ -29,10 +29,6 @@ class Diverged(MFGError):
     """The saddle-point iterates produced a non-finite certificate."""
 
 
-class StepSizeViolation(MFGError):
-    """The price step violates omega + tau * sigma * |G|**2 <= 1."""
-
-
 class CFLViolation(MFGError):
     """Explicit sweep refused: time step too large for the wave speeds.
 

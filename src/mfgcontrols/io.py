@@ -118,11 +118,19 @@ def write_solution(out_dir: str, sol: Solution, log: ConvergenceLog | None = Non
 
 
 def read_manifest(sol_dir: str) -> dict:
+    """The manifest of a solution directory: a JSON object whose config maps keys to strings."""
     path = os.path.join(sol_dir, "manifest.json")
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise MissingArtifact(f"{path}: malformed JSON: {exc}") from None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not (isinstance(config, dict) and all(isinstance(v, str) for v in config.values())):
+        raise MissingArtifact(f"{path}: no 'config' object of strings")
+    return manifest
 
 
 def read_solution(sol_dir: str, grid: Grid) -> Solution:

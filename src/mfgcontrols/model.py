@@ -39,19 +39,22 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-# -- pointwise power family (component axis last, scalar coefficients) -------
+# -- pointwise power family (component axis last by default) -----------------
 
 
-def power_value(xi, coeff, expo):
-    """coeff * |xi|^expo / expo over the last axis."""
+def power_value(xi, coeff, expo, axis=-1):
+    """coeff * |xi|^expo / expo, the norm taken over the component axis."""
     xi = np.asarray(xi, dtype=float)
-    return coeff / expo * (xi * xi).sum(axis=-1) ** (0.5 * expo)
+    return coeff / expo * (xi * xi).sum(axis=axis) ** (0.5 * expo)
 
 
-def power_gradient(xi, coeff, expo):
-    """coeff * |xi|^(expo-2) * xi, with value 0 at xi = 0."""
+def power_gradient(xi, coeff, expo, axis=-1):
+    """coeff * |xi|^(expo-2) * xi, with value 0 at xi = 0.
+
+    coeff broadcasts against the kept component axis from the trailing side.
+    """
     xi = np.asarray(xi, dtype=float)
-    n = np.linalg.norm(xi, axis=-1, keepdims=True)
+    n = np.linalg.norm(xi, axis=axis, keepdims=True)
     n_safe = np.where(n > 0.0, n, 1.0)
     return np.where(n > 0.0, coeff * n_safe ** (expo - 2.0), 0.0) * xi
 
@@ -277,28 +280,20 @@ class ProblemSpec:
 
     # -- Hamiltonian family H, H*, dH (component axis immediately before space)
 
-    def _sq_norm(self, xi):
-        """|xi|^2 over the component axis (the one before the spatial axes)."""
-        xi = np.asarray(xi, dtype=float)
-        return (xi * xi).sum(axis=xi.ndim - self.grid.d - 1)
+    def _component_axis(self, xi):
+        return np.ndim(xi) - self.grid.d - 1
 
     def hamiltonian(self, xi):
         """H(x, xi) = c(x) |xi|^r / r on field-shaped arguments."""
-        return self.c / self.r * self._sq_norm(xi) ** (0.5 * self.r)
+        return power_value(xi, self.c, self.r, self._component_axis(xi))
 
     def ham_conjugate(self, zeta):
         """H*(x, zeta) = c(x)^(1-r') |zeta|^(r') / r'."""
-        rp = self.r_prime
-        return self.c_conj / rp * self._sq_norm(zeta) ** (0.5 * rp)
+        return power_value(zeta, self.c_conj, self.r_prime, self._component_axis(zeta))
 
     def dH(self, xi):
         """Gradient of H in xi: c(x) |xi|^(r-2) xi, zero at the origin."""
-        xi = np.asarray(xi, dtype=float)
-        ax = xi.ndim - self.grid.d - 1
-        n = np.sqrt(np.sum(xi * xi, axis=ax, keepdims=True))
-        n_safe = np.where(n > 0.0, n, 1.0)
-        # c broadcasts against the kept component axis from the trailing side
-        return np.where(n > 0.0, self.c * n_safe ** (self.r - 2.0), 0.0) * xi
+        return power_gradient(xi, self.c, self.r, self._component_axis(xi))
 
     # -- price family Phi, Phi*, Psi, Psi^-1 (k components on the last axis)
 

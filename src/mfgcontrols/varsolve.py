@@ -28,11 +28,12 @@ aggregation kernel, and on the transport multiplier u (the paper's sign; its
 conjugate term is linear, so any SPD metric will do) the step
 u -= (omega/tau) (K K^T)^-1 Rbar, K the linear part of the constraint.  The
 preconditioned operator has squared norm at most omega + tau sigma_P |G|^2
-< 1 on every mesh, so iteration counts do not grow under refinement.  The
-bound holds for every tau, so the loop adapts tau by residual balancing
-with tau sigma_P fixed.  R and the aggregated flux Z are affine in (m, w)
-and the extrapolation weights sum to one, so the dual step extrapolates the
-certificate's own R and Z.
+<= 0.99 on every mesh by construction, so iteration counts do not grow
+under refinement.  The bound holds for every tau, so the loop adapts tau by
+residual balancing with tau sigma_P fixed.  R and the aggregated flux Z are
+affine in (m, w) and the extrapolation weights sum to one, so the dual step
+extrapolates the certificate's own R and Z.  The price-free game
+(kappa_phi = 0) runs through the same loop: its price prox pins P to zero.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, InvalidOption, StepSizeViolation
+from .errors import Diverged, InvalidOption
 from .grid import Grid, div_values, diffusion_values, grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
 
 # OMEGA: the transport multiplier's share of the step bound (not the
-# congestion theta).  TAU0 * step_ratio is the first primal step; after
-# each iteration the loop balances the primal residual |x_k - x_k+1|_1/tau
-# against the transport residual fp_res (Goldstein-Li-Yuan-Esser-Baraniuk
+# congestion theta).  TAU0 is the first primal step; after each iteration
+# the loop balances the primal residual |x_k - x_k+1|_1/tau against the
+# transport residual fp_res (Goldstein-Li-Yuan-Esser-Baraniuk
 # adaptive PDHG): tau grows by 1/(1 - alpha) while the ratio is above
 # BALANCE[1] and shrinks by 1 - alpha while it is below BALANCE[0], with
 # alpha = ADAPT0 * ADAPT_DECAY^j after j changes, so tau settles.
@@ -99,34 +100,22 @@ class Solution:
 
 @dataclass
 class SolverOptions:
-    """Step sizes and termination for the saddle-point loop.
+    """Termination of the saddle-point loop: an iteration budget and the gap tolerance.
 
-    tau is the first primal step, TAU0 * step_ratio by default; the loop
-    then adapts it by residual balancing (see BALANCE).  sigma_step is the
-    first price step sigma_P, (0.99 - OMEGA)/(tau lambda_max(G)) by
-    default; an explicit value is checked against
-    OMEGA + tau sigma_P |G|^2 <= 1, and tau sigma_P stays fixed while tau
-    adapts.  The transport multiplier's step (OMEGA/tau)(K K^T)^-1 follows
-    from tau.
+    The steps are not options: the primal step starts at TAU0 and adapts
+    by residual balancing (see BALANCE), the price step keeps
+    OMEGA + tau sigma_P |G|^2 = STEP_BOUND (OMEGA when phi = 0) and the
+    transport multiplier's step is (OMEGA/tau)(K K^T)^-1.
     """
 
-    tau: float | None = None
-    sigma_step: float | None = None
     max_iter: int = 20000
     tol_gap: float = 1e-6
-    step_ratio: float = 1.0
 
     def __post_init__(self):
         if not self.tol_gap >= 0.0:
             raise InvalidOption("tol_gap must be >= 0")
         if self.max_iter < 1:
             raise InvalidOption("max_iter must be >= 1")
-        if not 0.0 < self.step_ratio < np.inf:
-            raise InvalidOption("step_ratio must be positive and finite")
-        for name in ("tau", "sigma_step"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise InvalidOption(f"{name} must be positive")
 
 
 @dataclass
@@ -329,27 +318,22 @@ def default_init(spec: ProblemSpec):
     return m, w, u, p
 
 
-def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init: Solution | None = None,
-                      include_price: bool = True):
+def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init: Solution | None = None):
     """Run the saddle-point iteration; returns (Solution, ConvergenceLog).
 
     Stops when |B + D| <= tol_gap (1 + |B|), also with D at gamma = f(m),
     and the transport residual is below tol_gap, or at max_iter with
-    converged = False in the log.  ``include_price=False`` drops the
-    aggregation rows from the operator entirely (classical congestion
-    game); with kappa_phi = 0 the price prox pins P to zero instead, which
-    is the same optimum through a different operator.
+    converged = False in the log.  The price-free game (kappa_phi = 0) is
+    solved by the same iteration: its price prox returns P = 0.
     """
     opts = opts or SolverOptions()
     g = spec.grid
     spec.A_psd  # raises NotPSD
 
-    tau = TAU0 * opts.step_ratio if opts.tau is None else opts.tau
+    tau = TAU0
     phi = spec.phi.reshape(spec.k, -1)
-    g2 = float(np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1]) if include_price else 0.0  # |G|^2
-    sigma = opts.sigma_step or ((STEP_BOUND - OMEGA) / (tau * g2) if g2 > 0.0 else 1.0 / tau)
-    if OMEGA + tau * sigma * g2 > 1.0 + 1e-9:
-        raise StepSizeViolation(f"omega + tau*sigma*|G|^2 = {OMEGA + tau * sigma * g2:.3f} > 1")
+    g2 = float(np.linalg.eigvalsh(phi @ phi.T * g.cell_volume)[-1])  # |G|^2
+    sigma = (STEP_BOUND - OMEGA) / (tau * g2) if g2 > 0.0 else 1.0 / tau
     sigma_tau = sigma * tau  # kept while tau adapts, so the step bound holds throughout
     u_step = _transport_step(spec, OMEGA)
     alpha = ADAPT0
@@ -370,10 +354,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         # dual step at the extrapolated primal point, through the affine R and Z
         u -= u_step(R + (R - R_prev)) / tau
         sigma = sigma_tau / tau
-        if include_price:
-            p = prox_Phi_star(p + sigma * (Z + (Z - Z_prev)), sigma, spec.kappa_phi, spec.s)
-        else:
-            p.fill(0.0)
+        p = prox_Phi_star(p + sigma * (Z + (Z - Z_prev)), sigma, spec.kappa_phi, spec.s)
 
         # primal descent with the joint kinetic + congestion prox; the
         # w-adjoint of (u, P) is -xi, and xi also gives the certificate's gamma
@@ -392,7 +373,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         Bv = _eval_B(m, w, Z, spec)
         Dv = eval_D(u, p, _gamma_at(spec, u, xi), spec)
         gap = Bv + Dv
-        log.append(it, Bv, Dv, gap, fp_res, price_res if include_price else 0.0)
+        log.append(it, Bv, Dv, gap, fp_res, price_res)
         if not math.isfinite(gap + fp_res):  # also catches B = +inf with D = -inf
             raise Diverged(f"non-finite certificate at iteration {it}: B = {Bv}, D = {Dv}, fp_res = {fp_res}")
         # the returned Solution carries gamma = f(m), so its own gap (the verifier's) must hold too
@@ -408,6 +389,6 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         elif primal_res < BALANCE[0] * fp_res:
             tau, alpha = tau * (1.0 - alpha), alpha * ADAPT_DECAY
 
-    log.steps = {"tau": tau, "omega": OMEGA, "sigma_price": sigma_tau / tau if include_price else 0.0}
+    log.steps = {"tau": tau, "omega": OMEGA, "sigma_price": sigma_tau / tau}
     log.iterations = log.iters[-1] if log.iters else 0
     return _finalize(spec, m, w, u, p), log

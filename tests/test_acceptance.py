@@ -4,6 +4,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 measurements.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from mfgcontrols.model import ProblemSpec, case_2b_condition, kappa_bar
 from mfgcontrols.picard import PicardOptions, solve_fp
 from mfgcontrols.prox import kinetic_kkt_residual, prox_F, prox_Phi_star, prox_kinetic
 from mfgcontrols.varsolve import SolverOptions, solve_primal_dual
-from mfgcontrols.verify import uniqueness_probe, weak_solution_report
+from mfgcontrols.verify import random_feasible_init, uniqueness_probe, weak_solution_report
 from oracle import brute_prox_F, brute_prox_kinetic, brute_prox_phi_star, equilibrium_oracle
 
 
@@ -115,11 +116,12 @@ def test_criterion_5_uniqueness_probe(bump_spec):
 def test_criterion_6_price_free_reduction():
     spec = bump_instance(nx=32, nt=32, kappa_phi=0.0)
     # degenerate-potential run (price block present, prox pins P to zero)
-    sol_a, log_a = solve_primal_dual(spec, SolverOptions(max_iter=80000, tol_gap=1e-8), include_price=True)
-    # classical congestion-game run: no aggregation rows in the operator and
-    # a different step balance, so the iterates genuinely differ
-    sol_b, log_b = solve_primal_dual(spec, SolverOptions(max_iter=80000, tol_gap=1e-8, step_ratio=2.0),
-                                     include_price=False)
+    sol_a, log_a = solve_primal_dual(spec, SolverOptions(max_iter=80000, tol_gap=1e-8))
+    # classical congestion game as data: no aggregation kernel (phi = 0),
+    # solved from a random start, so the iterates genuinely differ
+    classical = dataclasses.replace(spec, phi=0.0)
+    sol_b, log_b = solve_primal_dual(classical, SolverOptions(max_iter=80000, tol_gap=1e-8),
+                                     init=random_feasible_init(classical, np.random.default_rng(0)))
     assert log_a.converged and log_b.converged
     assert np.max(np.abs(sol_a.P)) <= 1e-8
     g = spec.grid

@@ -336,3 +336,23 @@ def test_empty_expression_exits_1(tmp_path, capsys, command, key):
     argv = [command, cfg] + (["--out", str(tmp_path / "run")] if command == "solve" else [])
     assert main(argv) == 1
     assert key in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize("key", ["m0", "uT"])
+@pytest.mark.parametrize("expression", ["constant abc", "gaussian_bump 0.3 x", "cosine one 1.0"])
+def test_non_numeric_expression_exits_1(tmp_path, capsys, command, key, expression):
+    cfg = write_cfg(tmp_path / "c.cfg", **{key: expression})
+    out = tmp_path / "run"
+    argv = [command, cfg] + (["--out", str(out)] if command == "solve" else [])
+    assert main(argv) == 1
+    assert _one_line_error(capsys).startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+@pytest.mark.parametrize("text", ["{", "{}", "[]", '{"config": {"nx": 16}}'])
+def test_malformed_manifest_exits_1(uniform_run, capsys, command, text):
+    (uniform_run / "manifest.json").write_text(text)
+    assert main([command, "--solution", str(uniform_run)]) == 1
+    assert _one_line_error(capsys).startswith("input error: ")

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgcontrols import varsolve
-from mfgcontrols.errors import Diverged, InvalidOption, StepSizeViolation
+from mfgcontrols.errors import Diverged, InvalidOption
 from mfgcontrols.grid import Grid, div_values, grad_values
 from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec
@@ -226,7 +228,7 @@ def test_transport_metric_dominates_kkt(case):
     assert Kty @ Kty <= float(np.sum(y * v)) * (1.0 + 1e-12)
 
 
-def _preconditioned_norm2(spec, include_price):
+def _preconditioned_norm2(spec):
     """||Sigma^1/2 [K; G] T^1/2||^2 of the loop's steps, from dense matrices.
 
     T = tau, Sigma = (omega/tau) (K K^T)^-1 on the transport rows and sigma_P
@@ -234,16 +236,15 @@ def _preconditioned_norm2(spec, include_price):
     so G's adjoint is G^T / hx^d.
     """
     g = spec.grid
-    _, log = solve_primal_dual(spec, SolverOptions(max_iter=1, tol_gap=0.0), include_price=include_price)
+    _, log = solve_primal_dual(spec, SolverOptions(max_iter=1, tol_gap=0.0))
     tau, sigma = log.steps["tau"], log.steps["sigma_price"]
     K = _dense_K(spec)
     n_u = K.shape[0]
     S = _dense_columns(_transport_step(spec, OMEGA / tau), n_u, (g.nt, *g.space_shape))
     op = K.T @ S @ K
-    if include_price:
-        n_m = g.nt * g.n_space
-        G = _dense_columns(spec.aggregate_kernel, g.d * g.n_space, (g.d, *g.space_shape))
-        op[n_m:, n_m:] += sigma * np.kron(np.eye(g.nt), G.T @ G) / g.cell_volume
+    n_m = g.nt * g.n_space
+    G = _dense_columns(spec.aggregate_kernel, g.d * g.n_space, (g.d, *g.space_shape))
+    op[n_m:, n_m:] += sigma * np.kron(np.eye(g.nt), G.T @ G) / g.cell_volume
     return tau * np.linalg.eigvalsh(0.5 * (op + op.T))[-1]
 
 
@@ -262,21 +263,37 @@ def _bound_specs():
 
 
 @pytest.mark.parametrize("name", ["uniform-1d", "2d-diffusion-k2", "sin-kernel"])
-@pytest.mark.parametrize("include_price", [True, False])
-def test_operator_norm_bound(name, include_price):
+@pytest.mark.parametrize("with_kernel", [True, False])
+def test_operator_norm_bound(name, with_kernel):
     # the preconditioned operator meets Pock-Chambolle's condition: the
     # transport block contributes exactly omega, the price rows at most
-    # 0.99 - omega
-    norm2 = _preconditioned_norm2(_bound_specs()[name], include_price)
+    # 0.99 - omega, and nothing in the phi = 0 copy (no aggregation rows)
+    spec = _bound_specs()[name]
+    if not with_kernel:
+        spec = dataclasses.replace(spec, phi=0.0)
+    norm2 = _preconditioned_norm2(spec)
     assert norm2 >= OMEGA * (1.0 - 1e-9)
-    assert norm2 <= (0.99 if include_price else OMEGA) * (1.0 + 1e-9)
+    assert norm2 <= (0.99 if with_kernel else OMEGA) * (1.0 + 1e-9)
 
 
 @settings(max_examples=20, deadline=None)
 @given(transport_cases())
 def test_preconditioned_norm_below_one(case):
     spec, _ = case
-    assert _preconditioned_norm2(spec, True) <= 0.99 * (1.0 + 1e-9)
+    assert _preconditioned_norm2(spec) <= 0.99 * (1.0 + 1e-9)
+
+
+def test_price_free_matches_zero_kernel_bit_for_bit():
+    # kappa_phi = 0 pins P to zero, so the aggregation rows act on nothing:
+    # the same game with phi = 0 (no rows at all) runs the same iterates
+    spec = bump_instance(nx=32, nt=32, kappa_phi=0.0)
+    opts = SolverOptions(max_iter=2000, tol_gap=1e-8)
+    sol_a, log_a = solve_primal_dual(spec, opts)
+    sol_b, log_b = solve_primal_dual(dataclasses.replace(spec, phi=0.0), opts)
+    assert log_a.converged and log_a.iterations == log_b.iterations
+    for name in ("u", "m", "w", "P", "gamma"):
+        assert np.array_equal(getattr(sol_a, name), getattr(sol_b, name)), name
+    assert log_a.columns() == log_b.columns()
 
 
 def test_iterations_mesh_independent():
@@ -395,12 +412,6 @@ def test_converged_solution_certifies_its_own_gap(tol):
     assert abs(rep.duality_gap) <= tol * (1.0 + abs(log.B[-1]))
 
 
-def test_step_size_violation():
-    spec = uniform_instance(nx=8, nt=4)
-    with pytest.raises(StepSizeViolation):
-        solve_primal_dual(spec, SolverOptions(tau=1.0, sigma_step=1.0, max_iter=5))
-
-
 def test_uniform_instance_2d():
     g = Grid(d=2, nx=8, nt=4, T=1.0)
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones((8, 8)))
@@ -442,8 +453,7 @@ def test_weak_duality_feasible_pairs(uniform_spec):
         assert B + eval_D(u[: g.nt], P[: g.nt], gamma[1:], spec) >= -1e-8
 
 
-@pytest.mark.parametrize("bad", [{"step_ratio": 0.0}, {"tau": -0.1, "sigma_step": 0.1},
-                                 {"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
+@pytest.mark.parametrize("bad", [{"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
 def test_solver_options_validation(bad):
     with pytest.raises(InvalidOption):
         SolverOptions(**bad)
