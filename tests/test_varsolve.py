@@ -453,7 +453,8 @@ def test_weak_duality_feasible_pairs(uniform_spec):
         assert B + eval_D(u[: g.nt], P[: g.nt], gamma[1:], spec) >= -1e-8
 
 
-@pytest.mark.parametrize("bad", [{"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
+@pytest.mark.parametrize("bad", [{"tol_gap": float("-inf")}, {"max_iter": -3},
+                                 {"tol_gap": -1e-6}, {"tol_gap": float("nan")}, {"max_iter": 0}])
 def test_solver_options_validation(bad):
     with pytest.raises(InvalidOption):
         SolverOptions(**bad)
