@@ -11,7 +11,7 @@ agreement a real check.
 The fixed-point map is fragile: its loop gain grows with the cheapness of
 control.  On this instance the plain damped iteration converges only for
 damping factors up to about 0.05 (0.1 already orbits); Anderson mixing
-over the last thirty sweeps converges to 1e-9 in 68-97 sweeps for every
+over up to sixty past sweeps converges to 1e-9 in 57-69 sweeps for every
 mixing weight from 0.05 to 1 (recorded behavior; the variational solver is
 indifferent).
 """

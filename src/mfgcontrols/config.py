@@ -120,7 +120,14 @@ def _coefficient(text: str, grid: Grid, base_dir: str) -> np.ndarray:
 
 
 def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
-    """Materialize a ProblemSpec (and its Grid) from a parsed config."""
+    """Materialize a ProblemSpec (and its Grid) from a parsed config.
+
+    Every key must be present: a run's manifest stores its config with the
+    defaults filled in, so a missing key is refused rather than defaulted.
+    """
+    missing = sorted(_KEYS - raw.keys())
+    if missing:
+        raise ConfigParse(f"missing key '{missing[0]}'")
     try:
         d = int(raw["dimension"])
         nx = int(raw["nx"])
@@ -131,7 +138,7 @@ def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
         s = float(raw["s"])
         kappa_phi = float(raw["kappa_phi"])
         k = int(raw["price_dim"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigParse(f"bad scalar entry: {exc}") from exc
     try:
         grid = Grid(d=d, nx=nx, nt=nt, T=T)

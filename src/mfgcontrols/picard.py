@@ -10,20 +10,23 @@ forcing ``substeps=1`` on a violating configuration raises CFLViolation
 with the admissible step.
 
 The damped map x + beta (G(x) - x) contracts only for small beta (about
-0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes the last thirty
-sweeps by Anderson acceleration (~90 sweeps there); see ``picard_iterate``.
-Mixing conserves mass, since every difference it combines has zero mass.
+0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes up to sixty
+past sweeps by Anderson acceleration (~75 sweeps there); see
+``picard_iterate`` and ``ANDERSON_DEPTH``.  Mixing conserves mass, since
+every difference it combines has zero mass.
 
 Only the two explicit passes step through time.  The feedback and price
 stages act on all nt+1 time slices in one vectorised call each, and the
 price shift phi^T P and the transport face velocities are likewise formed
-for the whole path before the passes start.  One-sided differences come
-from one periodic wrap of the field (``take`` with the index
-[n-1, 0, ..., n-1, 0]) sliced both ways, and the transport fluxes live on
-the matching wrapped face list.  The per-axis slice tuples are built once
-per pass, and each substep updates its temporaries in place.  The
-diffusion matrix A is validated once per spec (``ProblemSpec.A_psd``), and
-the diffusion stencil and its CFL term are formed only when A != 0.
+for the whole path before the passes start.  Each pass keeps its field in
+one ghost-padded buffer of shape (nx+2)^d, built once per call: a substep
+copies the periodic ghosts in place, reads its one-sided differences or
+flux faces through views made once per call, and writes every temporary
+into a preallocated buffer.  Feedback slices its differences from one
+periodic wrap of the whole path (``take`` with the index
+[n-1, 0, ..., n-1, 0]).  The diffusion matrix A is validated once per spec
+(``ProblemSpec.A_psd``), and the diffusion stencil and its CFL term are
+formed only when A != 0.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
 stencils, so agreement of the two solvers is a meaningful uniqueness check.
@@ -40,10 +43,14 @@ from .grid import diffusion_values
 from .model import ProblemSpec
 from .varsolve import Solution
 
-# Residual differences kept by the Anderson mixing.  Depth m acts like GMRES
-# restarted every m residuals; on seven test instances 30 needs at most as
-# many sweeps as 5, and about 0.6x as many on the 64 x 64 bump.
-ANDERSON_DEPTH = 30
+# Residual differences kept by the Anderson mixing.  Full-memory Anderson
+# acts like GMRES (Walker and Ni, SIAM J. Numer. Anal. 2011), and depth m
+# like GMRES restarted every m residuals.  On the 64 x 64 bump (damping
+# 0.05, tol 1e-10, the eleven seeded benchmark instances) depth 30 takes
+# 88-93 sweeps, 50 takes 75-79, and 60 and 80 both take 74-75: 60 is the
+# full-memory limit there.  The two float64 history buffers hold
+# 2 x depth x (m and P entries) x 8 B, 3.9 MiB at depth 60 on that grid.
+ANDERSON_DEPTH = 60
 GRAM_SHIFT = 1e-14  # added to the unit diagonal of the Anderson Gram matrix
 
 
@@ -99,6 +106,35 @@ def _slopes(u: np.ndarray, ax: int, idx: np.ndarray, hx: float):
     return diff[lo], diff[hi]
 
 
+def _axis_window(pad: np.ndarray, ax: int, start: int, stop: int) -> np.ndarray:
+    """View of a ghost-padded field: entries start:stop on axis ax, the interior on the others."""
+    inner = slice(1, pad.shape[0] - 1)
+    return pad[(inner,) * ax + (slice(start, stop),) + (inner,) * (pad.ndim - 1 - ax)]
+
+
+def _ghost_padded(n: int, d: int):
+    """A field buffer of shape (n+2)^d with one periodic ghost layer on each axis.
+
+    Returns the buffer, its interior view, and the (ghost, source) view
+    pairs whose in-place copies refresh the periodic wrap of the interior.
+    """
+    pad = np.empty((n + 2,) * d)
+    ghosts = []
+    for i in range(d):
+        ghosts.append((_axis_window(pad, i, 0, 1), _axis_window(pad, i, n, n + 1)))
+        ghosts.append((_axis_window(pad, i, n + 1, n + 2), _axis_window(pad, i, 1, 2)))
+    return pad, _axis_window(pad, 0, 1, n + 1), ghosts
+
+
+def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
+    """x^expo, written to out unless expo = 1 (x itself); expo = 1/2 is the exact square root."""
+    if expo == 1.0:
+        return x
+    if expo == 0.5:
+        return np.sqrt(x, out=out)
+    return np.power(x, expo, out=out)
+
+
 def _diffusion_cfl(spec: ProblemSpec) -> float:
     """Stability contribution of the explicit centered diffusion stencil."""
     g = spec.grid
@@ -118,6 +154,10 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     forms the Osher-Sethian sum
     xi_sq = sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2
     (g = phi^T P) and steps u by ht (f(m) - c xi_sq^(r/2) / r + A_ij d_ij u).
+    The slopes stay unscaled, hx (D^-_i u + g_i) and -hx (D^+_i u + g_i), so
+    one maximum clips both and their squares sum to S = hx^2 xi_sq; the
+    factors c / (r hx^r) of H and d c / hx^r of the CFL rate are formed
+    once per call.
     """
     opts = opts or PicardOptions()
     g = spec.grid
@@ -125,49 +165,52 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     diffusive = np.any(A)
     if np.min(m) < -1e-12:
         raise NegativeDensity("solve_hjb requires m >= 0")
-    d, hx, ht = g.d, g.hx, g.ht
-    c, r = spec.c, spec.r
-    speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from xi_sq
+    n, d, hx, ht = g.nx, g.d, g.hx, g.ht
+    r = spec.r
+    speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from S
+    rate_coef = d * spec.c / hx**r  # the CFL rate is max(rate_coef S^speed_expo)
+    ham_coef = spec.c / (r * hx**r)  # H = ham_coef S^ham_expo
     limit = opts.cfl_safety * (1.0 + 1e-12)
-    idx = _wrap_index(g.nx)
-    axes = [(i, *_ends(i)) for i in range(d)]
+    pad, cur, ghosts = _ghost_padded(n, d)
+    slopes = np.empty((d, 2, *g.space_shape))
+    lower, upper = slopes[:, 0], slopes[:, 1]
+    # per axis, the neighbours at nodes k - 1 and k + 1 of node k, and where each difference goes
+    stencil = [(_axis_window(pad, i, 0, n), _axis_window(pad, i, 2, n + 2), lower[i], upper[i])
+               for i in range(d)]
+    pairs = np.empty((d, *g.space_shape))
+    xi_sq = pairs[0]  # S accumulates in the first axis's sum of squares
+    tmp, ham = np.empty(g.space_shape), np.empty(g.space_shape)
     u = np.empty(g.scalar_shape)
-    u[g.nt] = spec.uT
+    u[g.nt] = cur[...] = spec.uT
     fm = spec.coupling_f(np.maximum(m, 0.0))
     g_shift = spec.phi_transpose_price(P)
+    g_shift *= hx
+    g_signed = np.stack((g_shift, -g_shift), axis=2)  # (nt+1, d, 2, *space), the signs of the slopes
     diff_rate = _diffusion_cfl(spec) if diffusive else 0.0
     for j in range(g.nt - 1, -1, -1):
-        rhs, gj, cur = fm[j + 1], g_shift[j], u[j]
+        rhs, gj = fm[j + 1], g_signed[j]
         n_sub = 1 if substeps is None else substeps
         while True:
             dt = ht / n_sub
-            cur[...] = u[j + 1]
             ok = True
             for _ in range(n_sub):
-                for i, lo, hi in axes:
-                    ext = cur.take(idx, axis=i)
-                    diff = ext[hi] - ext[lo]
-                    diff /= hx  # entry k is D^- u at node k, i.e. D^+ u at node k - 1
-                    a = diff[lo] + gj[i]
-                    b = diff[hi] + gj[i]
-                    np.maximum(a, 0.0, out=a)
-                    np.minimum(b, 0.0, out=b)
-                    a *= a
-                    b *= b
-                    a += b
-                    if i:
-                        xi_sq += a
-                    else:
-                        xi_sq = a
-                speed = xi_sq**speed_expo
-                speed *= c
-                rate = d * float(speed.max()) / hx + diff_rate
+                for dst, src in ghosts:
+                    dst[...] = src
+                for left, right, dm, dp in stencil:
+                    np.subtract(cur, left, out=dm)
+                    np.subtract(cur, right, out=dp)
+                slopes += gj
+                np.maximum(slopes, 0.0, out=slopes)
+                np.square(slopes, out=slopes)
+                np.add(lower, upper, out=pairs)
+                for extra in pairs[1:]:
+                    xi_sq += extra
+                speed = np.multiply(_power(xi_sq, speed_expo, tmp), rate_coef, out=tmp)
+                rate = float(speed.max()) + diff_rate
                 if dt * rate > limit:
                     ok = False
                     break
-                ham = xi_sq**ham_expo
-                ham *= c
-                ham /= r
+                np.multiply(_power(xi_sq, ham_expo, ham), ham_coef, out=ham)
                 if diffusive:
                     ham -= diffusion_values(g, A, cur)  # now H - A_ij d_ij u
                 np.subtract(rhs, ham, out=ham)  # f(m) - H + A_ij d_ij u
@@ -182,6 +225,8 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
                     admissible_ht=admissible,
                 )
             n_sub = min(2 * n_sub, opts.max_substeps)
+            cur[...] = u[j + 1]
+        u[j] = cur
     return u
 
 
@@ -210,60 +255,73 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
 
     Interval n is driven by the drift slice v[n-1]; mass is conserved
     exactly by the flux form and nonnegativity holds under the CFL bound
-    (for diagonally dominant A).  Fluxes live on the wrapped face list:
-    along each axis, entry k is the face between nodes k - 1 and k, so
-    both ends carry the same periodic face.
+    for diagonal A (the centred cross difference of A_12 != 0 has negative
+    corner weights, so a density with zeros can turn negative there).
+    Fluxes live on the wrapped face list: along each axis, entry k is the
+    face between nodes k - 1 and k, so both ends carry the same periodic
+    face.  The face velocities of each interval are scaled by its substep
+    over hx before the sweep starts.
     """
     opts = opts or PicardOptions()
     g = spec.grid
     A = spec.A_psd
     diffusive = np.any(A)
-    d, hx, ht = g.d, g.hx, g.ht
-    idx = _wrap_index(g.nx)
-    axes = [(i, *_ends(i)) for i in range(d)]
-    m = np.empty(g.scalar_shape)
-    m[0] = spec.m0
+    n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
     rates = d * speeds / hx + (_diffusion_cfl(spec) if diffusive else 0.0)
     needed = np.ceil(rates * ht / max(opts.cfl_safety, 1e-300) - 1e-12)
     # capped before the cast, so an infinite or NaN rate refuses the interval below
     needed = np.maximum(1, np.fmin(needed, opts.max_substeps + 1)).astype(int)
+    n_subs = needed if substeps is None else np.full(g.nt, substeps)
+    refused = np.flatnonzero((n_subs < needed) | (n_subs > opts.max_substeps))
+    if refused.size:
+        admissible = opts.cfl_safety / max(float(rates[refused[0]]), 1e-300)
+        raise CFLViolation(
+            f"explicit transport sweep needs ht <= {admissible:.3e} (interval {refused[0] + 1})",
+            admissible_ht=admissible,
+        )
+    steps = ht / n_subs
+    idx = _wrap_index(n)
     v_plus, v_minus = [], []
     for i in range(d):
         lo, hi = _ends(1 + i)
         wrapped = drift[:, i].take(idx, axis=1 + i)
         faces = 0.5 * (wrapped[lo] + wrapped[hi])
+        faces *= (steps / hx).reshape(-1, *(1,) * d)  # dt / hx of each interval
         v_plus.append(np.maximum(faces, 0.0))
         v_minus.append(np.minimum(faces, 0.0))
+    pad, cur, ghosts = _ghost_padded(n, d)
+    divs = np.empty((d, *g.space_shape))
+    flux_div = divs[0]  # the first axis's flux difference accumulates the others
+    # per axis, the nodes k - 1 and k beside face k, two face buffers, and the face ends
+    sides = []
+    for i in range(d):
+        lo, hi = _axis_window(pad, i, 0, n + 1), _axis_window(pad, i, 1, n + 2)
+        flux = np.empty(lo.shape)
+        first, last = _ends(i)
+        sides.append((lo, hi, flux, np.empty(lo.shape), flux[last], flux[first], divs[i]))
+    m = np.empty(g.scalar_shape)
+    m[0] = cur[...] = spec.m0
     # per interval, the tuples of its face velocities along each axis
-    for n, vp, vm in zip(range(1, g.nt + 1), zip(*v_plus), zip(*v_minus)):
-        n_sub = int(needed[n - 1]) if substeps is None else substeps
-        if n_sub < needed[n - 1] or n_sub > opts.max_substeps:
-            admissible = opts.cfl_safety / max(float(rates[n - 1]), 1e-300)
-            raise CFLViolation(
-                f"explicit transport sweep needs ht <= {admissible:.3e} (interval {n})",
-                admissible_ht=admissible,
-            )
-        dt = ht / n_sub
-        cur = m[n - 1]
-        for _ in range(n_sub):
-            for i, lo, hi in axes:
-                ext = cur.take(idx, axis=i)
-                flux = vp[i] * ext[lo]
-                flux += vm[i] * ext[hi]
-                div = flux[hi] - flux[lo]
-                div /= hx
-                if i:
-                    flux_div += div
-                else:
-                    flux_div = div
-            flux_div *= dt
-            new = cur - flux_div
+    for n_step, dt, vp, vm, m_next in zip(n_subs, steps, zip(*v_plus), zip(*v_minus), m[1:]):
+        for _ in range(n_step):
+            for dst, src in ghosts:
+                dst[...] = src
+            for i, (lo, hi, flux, tmp, f_hi, f_lo, div) in enumerate(sides):
+                np.multiply(vp[i], lo, out=flux)
+                np.multiply(vm[i], hi, out=tmp)
+                flux += tmp
+                np.subtract(f_hi, f_lo, out=div)
+            for extra in divs[1:]:
+                flux_div += extra
             if diffusive:
-                new += dt * diffusion_values(g, A, cur)
-            cur = new
-        m[n] = cur
+                lap = diffusion_values(g, A, cur)
+                lap *= dt
+            cur -= flux_div
+            if diffusive:
+                cur += lap
+        m_next[...] = cur
     return m
 
 

@@ -356,3 +356,16 @@ def test_malformed_manifest_exits_1(uniform_run, capsys, command, text):
     (uniform_run / "manifest.json").write_text(text)
     assert main([command, "--solution", str(uniform_run)]) == 1
     assert _one_line_error(capsys).startswith("input error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+@pytest.mark.parametrize("key", ["theta", "c", "phi", "A", "m0", "uT"])
+def test_manifest_missing_key_exits_1(uniform_run, capsys, command, key):
+    # a default would verify a different instance than the one solved
+    path = uniform_run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["config"][key]
+    path.write_text(json.dumps(manifest))
+    assert main([command, "--solution", str(uniform_run)]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: ") and f"'{key}'" in err
