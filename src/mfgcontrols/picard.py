@@ -334,8 +334,9 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
     """Anderson-mixed fixed-point loop on x = (m, P); packages w = m v and gamma = f(m).
 
     Each sweep evaluates the residual f = G(x) - x, stops once
-    max|f_m| + max|f_P| < tol_fixed_point, and otherwise takes the type-II
-    Anderson step (Walker and Ni, SIAM J. Numer. Anal. 2011) with beta = damping
+    max|f_m| + max|f_P| < tol_fixed_point and returns that tested x, and
+    otherwise takes the type-II Anderson step (Walker and Ni, SIAM J.
+    Numer. Anal. 2011) with beta = damping
 
         x+ = y - dY alpha,  y = x + beta f,  alpha = argmin |f - dF alpha|,
 
@@ -373,6 +374,9 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
         f -= x
         res = float(np.abs(f[:n_m]).max()) + float(np.abs(f[n_m:]).max())
         residuals.append(res)
+        if res < opts.tol_fixed_point:  # return this x, with the u and v it was tested with
+            converged = True
+            break
         x_next = y = x + beta * f
         if f_prev is not None:
             slot = n_pairs % ANDERSON_DEPTH
@@ -399,9 +403,6 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
         m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
         u = solve_hjb(m, P, spec, opts)
         v = feedback(u, P, spec)
-        if res < opts.tol_fixed_point:
-            converged = True
-            break
 
     w = np.zeros(g.vector_shape)
     w[1:] = m[1:, None] * v[:-1]

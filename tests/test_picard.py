@@ -276,10 +276,26 @@ def test_anderson_iterates_stay_admissible_on_bump(monkeypatch):
     result = picard_iterate(spec, PicardOptions(damping=0.05, max_outer=2000, tol_fixed_point=1e-10))
     assert result.converged
     assert result.iterations <= 150
-    assert len(densities) == result.iterations + 1
+    assert len(densities) == result.iterations
     for m in densities:
         assert np.min(m) >= 0.0
         assert np.max(np.abs(m.sum(axis=1) * g.cell_volume - 1.0)) <= 1e-12
+
+
+def test_returned_iterate_is_the_tested_one():
+    # one more sweep from the returned (m, P) reproduces the last residual, below the tolerance
+    spec = bump_instance(nx=32, nt=32)
+    opts = PicardOptions(damping=0.05, max_outer=2000, tol_fixed_point=1e-10)
+    result = picard_iterate(spec, opts)
+    assert result.converged
+    m, P = result.solution.m, result.solution.P
+    u = solve_hjb(m, P, spec, opts)
+    assert np.array_equal(u, result.solution.u)
+    v = feedback(u, P, spec)
+    m_new = solve_fp(v, spec, opts)
+    res = float(np.abs(m_new - m).max()) + float(np.abs(update_price(m_new, v, spec) - P).max())
+    assert res == result.residuals[-1]
+    assert res < opts.tol_fixed_point
 
 
 def test_bump_sweep_budget(monkeypatch):

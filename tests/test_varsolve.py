@@ -304,6 +304,15 @@ def test_iterations_mesh_independent():
         assert log.converged
         iters.append(log.iterations)
     assert max(iters) <= 1.25 * min(iters), iters
+    assert max(iters) <= 55, iters  # 72 at n = 64 with the step bound split evenly
+
+
+def test_vacuum_bump_iteration_budget():
+    # c = 1 empties part of the torus; 117 iterations with the step bound split evenly
+    spec = bump_instance(nx=32, nt=32, motion_cost=1.0)
+    _, log = solve_primal_dual(spec, SolverOptions(max_iter=2000, tol_gap=1e-3))
+    assert log.converged
+    assert log.iterations <= 85, log.iterations
 
 
 @pytest.mark.parametrize("motion_cost,parent_iterations", [(1.0, 4972), (0.1, 5504)])
