@@ -52,12 +52,8 @@ def power_gradient(xi, coeff, expo, axis=-1):
     """coeff * |xi|^(expo-2) * xi, with value 0 at xi = 0.
 
     coeff broadcasts against the kept component axis from the trailing side.
-    At expo = 2 it returns coeff * xi, bit for bit the general form for
-    coeff >= 0: |xi|^0 is exactly 1, and at xi = 0 both keep the signs of xi.
     """
     xi = np.asarray(xi, dtype=float)
-    if expo == 2.0:
-        return coeff * xi
     n = np.linalg.norm(xi, axis=axis, keepdims=True)
     n_safe = np.where(n > 0.0, n, 1.0)
     return np.where(n > 0.0, coeff * n_safe ** (expo - 2.0), 0.0) * xi

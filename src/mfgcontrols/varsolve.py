@@ -52,15 +52,10 @@ from .prox import prox_kinetic_congestion, prox_Phi_star
 # congestion theta); the price block keeps STEP_BOUND - OMEGA.  Any split
 # meets Pock-Chambolle's condition.  On the bump the stop test waits on the
 # transport residual while the price residual sits near 1e-8, so the
-# transport block gets most of the bound.  PD iterations at OMEGA = 0.5 ->
-# 0.9: 1-D bump at gap 1e-3, n = 16 / 32 / 64 / 128 / 256, 66 / 66 / 72 /
-# 73 / 76 -> 49 / 50 / 51 / 53 / 54; vacuum bump (c = 1) at 1e-3,
-# n = 16 / 32 / 64 / 128, 91 / 117 / 156 / 345 -> 58 / 79 / 139 / 192;
-# 32 x 32 vacuum at 1e-6, 1,775 -> 1,470; 64 x 64 bump at 1e-6, 229 -> 176;
-# uniform 16 x 16 at 1e-10, 62 -> 28.  0.9 is the largest value scanned
-# (0.5 to 0.98) that is no worse than 0.5 on every instance: at 0.95 the
-# 32 x 32 vacuum at 1e-6 takes 1,789, and at 0.98 a 2-D 8^2 x 8 instance
-# with k = 2 and A != 0 takes 219 (209 at 0.5, 147 at 0.9).
+# transport block gets most of the bound.  0.9 is the largest value scanned
+# (0.5 to 0.98) that is no worse than 0.5 on every instance: 0.95 loses on
+# the 32 x 32 vacuum bump at gap 1e-6, and 0.98 there and on a 2-D k = 2
+# instance with A != 0 (the scan is in CHANGES.md, "Step split").
 # TAU0 is the first primal step; after each iteration
 # the loop balances the primal residual |x_k - x_k+1|_1/tau against the
 # transport residual fp_res (Goldstein-Li-Yuan-Esser-Baraniuk

@@ -13,7 +13,6 @@ from mfgcontrols.model import (
     conjugate_exponent,
     eta_bar,
     kappa_bar,
-    power_gradient,
     search_rtilde_2b,
 )
 
@@ -29,22 +28,6 @@ def small_spec(**kw):
 
 
 # -- Hamiltonian family ---------------------------------------------------------
-
-
-def test_power_gradient_quadratic_matches_general_form_bit_for_bit():
-    # expo = 2 returns coeff * xi; the general form's |xi|^0 is exactly 1
-    rng = np.random.default_rng(3)
-    xi = rng.normal(size=(3, 2, 5))
-    xi[0, :, 1] = 0.0
-    xi[1, :, 2] = -0.0
-    xi[2, :, 3] = (0.0, -0.0)
-    xi[2, 1, 4] = -0.0
-    coeff = rng.uniform(0.1, 2.0, 5)  # per node, the component axis is 1
-    n = np.linalg.norm(xi, axis=1, keepdims=True)
-    general = np.where(n > 0.0, coeff * np.where(n > 0.0, n, 1.0) ** 0.0, 0.0) * xi
-    out = power_gradient(xi, coeff, 2.0, axis=1)
-    assert np.array_equal(out, general)
-    assert np.array_equal(np.signbit(out), np.signbit(general))
 
 
 def test_hamiltonian_quadratic_self_conjugate():
