@@ -193,9 +193,8 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     c = np.broadcast_to(np.asarray(c, dtype=float), mbar.shape)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), mbar.shape)
     if r == 2.0 and q == 2.0:
-        # the Newton loop multiplies by c on every pass, so a caller that runs
-        # the kernel often passes c as a contiguous array of mbar's shape
-        return _prox_quadratic(mbar, wbar, tau, c, theta)
+        # a contiguous c: the Newton loop multiplies by it on every pass
+        return _prox_quadratic(mbar, wbar, tau, c.copy(), theta)
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
 
     # apex: the whole quarter-plane cost dominates the quadratic pull

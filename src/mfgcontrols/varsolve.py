@@ -175,8 +175,6 @@ class ConvergenceLog:
 def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
     pos = m > 0.0
-    if pos.all():  # no node with m = 0, so nothing to mark +inf
-        return spec.ham_conjugate(w) / m ** (spec.r_prime - 1.0)
     kin = spec.ham_conjugate(w) / np.where(pos, m, 1.0) ** (spec.r_prime - 1.0)
     kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
     return kin
@@ -192,9 +190,8 @@ def _eval_B(m, w, Z, spec):
     g = spec.grid
     if m.min() < 0.0:
         return np.inf
-    # a perspective breach makes the kinetic sum, and so B, +inf; m >= 0, so F needs no sign check
-    F = spec.theta / spec.q * m**spec.q
-    total = float(kinetic_energy_values(spec, m, w).sum() + F.sum()) * g.ht * g.cell_volume
+    # a perspective breach makes the kinetic sum, and so B, +inf
+    total = float(kinetic_energy_values(spec, m, w).sum() + spec.F(m).sum()) * g.ht * g.cell_volume
     if not spec.price_free:
         total += float(spec.Phi(Z).sum()) * g.ht
     return total + float(np.vdot(spec.uT, m[-1])) * g.cell_volume
@@ -384,13 +381,12 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     # the affine images of the current point: R, Z of (m, w) and xi of (u, P)
     R, Z = _constraint(spec, m, w), spec.aggregate_kernel(w)
     xi = grad_values(g, u) + spec.phi_transpose_price(p)
-    c_full = np.broadcast_to(spec.c, m.shape).copy()  # the prox's Newton loop multiplies by it
 
     for it in range(1, opts.max_iter + 1):
         # prox point: joint kinetic + congestion prox at x - tau K^T y, whose w-part is w - tau xi
         gm = m + tau * _adjoint_m(spec, u)
         gm[-1] -= tau * spec.uT / g.ht
-        mt, wt = prox_kinetic_congestion(gm, (w - tau * xi).swapaxes(0, 1), tau, c_full, spec.r, spec.theta, spec.q)
+        mt, wt = prox_kinetic_congestion(gm, (w - tau * xi).swapaxes(0, 1), tau, spec.c, spec.r, spec.theta, spec.q)
         wt = wt.swapaxes(0, 1)
         Rt, Zt = _constraint(spec, mt, wt), spec.aggregate_kernel(wt)
 
@@ -411,11 +407,9 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         log.append(it, Bv, Dv, gap, fp_res, price_res)
         if not math.isfinite(gap + fp_res):  # also catches B = +inf with D = -inf
             raise Diverged(f"non-finite certificate at iteration {it}: B = {Bv}, D = {Dv}, fp_res = {fp_res}")
-        # the returned Solution carries gamma = f(m), so its own gap (the verifier's) must hold too;
-        # B is finite, so mt >= 0 and f needs no sign check
+        # the returned Solution carries gamma = f(m), so its own gap (the verifier's) must hold too
         tol_B = opts.tol_gap * (1.0 + abs(Bv))
-        if (abs(gap) <= tol_B and fp_res <= opts.tol_gap
-                and abs(Bv + eval_D(ut, pt, spec.theta * mt ** (spec.q - 1.0), spec)) <= tol_B):
+        if abs(gap) <= tol_B and fp_res <= opts.tol_gap and abs(Bv + eval_D(ut, pt, spec.coupling_f(mt), spec)) <= tol_B:
             log.converged = True
             break
 

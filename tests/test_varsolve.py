@@ -328,18 +328,13 @@ def test_2d_two_price_components_iteration_budget():
 def test_vacuum_bump_iteration_budget():
     # c = 1 empties part of the torus; 117 iterations with the step bound split evenly
     spec = bump_instance(nx=32, nt=32, motion_cost=1.0)
-    _, log = solve_primal_dual(spec, SolverOptions(max_iter=2000, tol_gap=1e-3))
+    sol, log = solve_primal_dual(spec, SolverOptions(max_iter=2000, tol_gap=1e-3))
     assert log.converged
     assert log.iterations <= 85, log.iterations
-
-
-def test_vacuum_bump_returns_admissible_prox_point():
     # a relaxed density goes negative wherever the prox empties a cell
     # (m + rho (0 - m) < 0 for rho > 1); the returned fields are the prox
     # outputs, so they keep m >= 0 and the apex convention w = 0 on {m = 0}
-    spec = bump_instance(nx=32, nt=32, motion_cost=1.0)
-    sol, log = solve_primal_dual(spec, SolverOptions(max_iter=2000, tol_gap=1e-3))
-    assert log.converged and log.m_min >= 0.0
+    assert log.m_min >= 0.0
     vacuum = sol.m == 0.0
     assert np.min(sol.m) >= 0.0 and vacuum.any()
     assert np.all(sol.w.swapaxes(0, 1)[:, vacuum] == 0.0)
