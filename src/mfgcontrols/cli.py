@@ -118,8 +118,8 @@ def cmd_solve(args) -> int:
         os.makedirs(os.path.dirname(dest), exist_ok=True)
         if not (os.path.exists(dest) and os.path.samefile(source, dest)):
             shutil.copyfile(source, dest)
-    print(json.dumps({"converged": converged, "iterations": iterations,
-                      "duality_gap": rep.duality_gap, "out": args.out}, indent=2))
+    print(json.dumps({"converged": converged, "iterations": iterations, "duality_gap": rep.duality_gap,
+                      "verdict": verdict, "out": args.out}, indent=2))
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 

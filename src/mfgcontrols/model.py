@@ -266,7 +266,7 @@ class ProblemSpec:
         return self.theta * m ** (self.q - 1.0)
 
     def F(self, m):
-        """Primitive of f in m: theta(x) m^q / q for m >= 0, +inf otherwise."""
+        """Primitive of f in m: theta(x) m^q / q; raises NegativeDensity if any m < 0."""
         m = np.asarray(m, dtype=float)
         if (m < 0.0).any():
             raise NegativeDensity("F(x, m) requires m >= 0")

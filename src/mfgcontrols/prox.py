@@ -7,18 +7,20 @@ the conjugate price potential (``prox_Phi_star``).  The solver itself uses
 congestion costs; the two pure kernels are its special cases (theta = 0,
 respectively no kinetic term).
 
-All kernels are vectorized over arbitrary array shapes and reduce to
-monotone scalar equations: closed forms where they exist, monotone Newton
-(tolerance NEWTON_TOL, at most NEWTON_MAX steps) for q = r = 2, and
-bracketed bisection (``solve_increasing``) otherwise.  Outputs satisfy
-m >= 0 exactly and (m = 0 implies w = 0).
+All kernels are vectorized over arbitrary array shapes and are closed forms
+or Newton iterations that stop once the residuals are below NEWTON_TOL
+(relative) and raise ``NoConvergence`` when they do not within NEWTON_MAX
+steps.  Outputs satisfy m >= 0 exactly and (m = 0 implies w = 0).
+``power_prox`` (the congestion and price proxes) is a scalar monotone Newton.
 
 The q = r = 2 joint prox has its own branch: it works with |wbar|^2
 throughout (no square root), its momentum is the closed form
 w = c m / (c m + tau) wbar, and its Newton iteration starts at the
 congestion-only prox max(mbar, 0)/(1 + tau theta), which lies below the root
 of the concave, increasing stationarity function, so every Newton step
-increases m towards the root.
+increases m towards the root.  Every other exponent cell runs one joint 2x2
+Newton on (m, rho = |w|), damped by a fraction-to-boundary step and an Armijo
+line search (``_prox_joint``).
 """
 
 from __future__ import annotations
@@ -27,79 +29,47 @@ import numpy as np
 
 from .errors import NoConvergence
 
-_BIG = 1.0e300
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 60
-
-
-def _clamp(f):
-    return np.nan_to_num(f, nan=0.0, posinf=_BIG, neginf=-_BIG)
-
-
-def solve_increasing(fn, lo, hi, max_iter=100):
-    """Vectorized root of an increasing function on bracketing arrays.
-
-    Requires fn(lo) <= 0 <= fn(hi) componentwise (entries violating this are
-    clamped to the nearer endpoint).  Bisection stops once every bracket
-    [a, b] is at most 1e-16 (1 + |b|) wide or after max_iter halvings; four
-    secant steps inside the final bracket then polish the root.
-    """
-    a = np.array(np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))[0], dtype=float)
-    b = np.array(np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))[1], dtype=float)
-    fa = _clamp(fn(a))
-    fb = _clamp(fn(b))
-    # collapse brackets whose root lies outside
-    b = np.where(fa >= 0.0, a, b)
-    fb = np.where(fa >= 0.0, fa, fb)
-    a = np.where(fb <= 0.0, b, a)
-    fa = np.where(fb <= 0.0, fb, fa)
-
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = _clamp(fn(mid))
-        neg = fm < 0.0
-        a = np.where(neg, mid, a)
-        fa = np.where(neg, fm, fa)
-        b = np.where(neg, b, mid)
-        fb = np.where(neg, fm, fb)
-        if np.all(b - a <= 1e-16 * (1.0 + np.abs(b))) :
-            break
-    # secant polish inside the final bracket
-    x = 0.5 * (a + b)
-    for _ in range(4):
-        denom = fb - fa
-        x = np.where(denom > 0.0, a - fa * (b - a) / np.where(denom > 0.0, denom, 1.0), x)
-        x = np.clip(x, a, b)
-        fx = _clamp(fn(x))
-        neg = fx < 0.0
-        a = np.where(neg, x, a)
-        fa = np.where(neg, fx, fa)
-        b = np.where(neg, b, x)
-        fb = np.where(neg, fx, fb)
-    return np.clip(x, a, b)
+TINY = np.finfo(float).tiny
 
 
 def power_prox(nbar, lam, expo):
     """Solve rho + lam * rho**(expo-1) = nbar for rho >= 0 (zero when nbar <= 0).
 
     This is the prox of lam/expo * rho**expo restricted to rho >= 0; it is
-    the scalar core shared by prox_F and the radial price proxes.
+    the scalar core shared by prox_F and the radial price proxes.  Off
+    expo = 2 the left side is convex (expo > 2) or concave (expo < 2) in rho,
+    so Newton from the upper bound min(nbar, (nbar/lam)^(1/(expo-1))) of the
+    root, respectively the lower bound min(nbar/2, (nbar/(2 lam))^(1/(expo-1))),
+    approaches it monotonically from that side.
     """
     nbar = np.asarray(nbar, dtype=float)
     pos = nbar > 0.0
     if expo == 2.0:
         return np.where(pos, nbar / (1.0 + lam), 0.0)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), nbar.shape)
-    nb = np.where(pos, nbar, 1.0)
-
-    def f(rho):
-        return rho + lam * rho ** (expo - 1.0) - nb
-
-    root = solve_increasing(f, np.zeros_like(nb), nb, max_iter=NEWTON_MAX + 40)
-    resid = np.abs(np.where(pos, f(root), 0.0))
-    if np.any(resid > 1e-9 * (1.0 + np.abs(nbar))):
-        raise NoConvergence(f"power_prox residual {resid.max():.3e}")
-    return np.where(pos, root, 0.0)
+    out = np.zeros(nbar.shape)
+    idx = np.flatnonzero(pos)
+    nb, la = nbar.ravel()[idx], np.broadcast_to(np.asarray(lam, dtype=float), nbar.shape).ravel()[idx]
+    share = 1.0 if expo > 2.0 else 0.5
+    with np.errstate(divide="ignore"):  # lam = 0: the root is nbar; lam = inf: 0
+        rho = np.minimum(share * nb, np.exp((np.log(nb) - np.log(la / share)) / (expo - 1.0)))
+    keep = rho > 0.0  # a start that underflows to 0 leaves a root within a few subnormals of it
+    idx, nb, la, rho = idx[keep], nb[keep], la[keep], rho[keep]
+    for _ in range(NEWTON_MAX):
+        slope = la * rho ** (expo - 2.0)
+        f = rho + slope * rho - nb
+        new = rho - f / (1.0 + (expo - 1.0) * slope)
+        # or a step that rounding cancels or sends to 0 (roots among the subnormals)
+        settled = (np.abs(f) <= NEWTON_TOL * nb) | (new == rho) | (new <= 0.0)
+        if settled.any():
+            out.ravel()[idx[settled]] = rho[settled]
+            keep = ~settled
+            idx, nb, la, new = idx[keep], nb[keep], la[keep], new[keep]
+        if idx.size == 0:
+            return out
+        rho = new
+    raise NoConvergence(f"power_prox: {idx.size} entries unsettled after {NEWTON_MAX} Newton steps")
 
 
 def prox_F(mbar, tau, theta, q):
@@ -142,37 +112,6 @@ def prox_Phi(zbar, lam, kappa_phi, s):
     return rho / n_safe * zbar
 
 
-def _rho_inner(m, wnorm, tau, c, r):
-    """Optimal momentum magnitude rho(m): rho + tau c^(1-r') m^(1-r') rho^(r'-1) = wnorm."""
-    r_prime = r / (r - 1.0)
-    cp = c ** (1.0 - r_prime)
-    m_pos = np.where(m > 0.0, m, 1.0)
-    if r == 2.0:
-        rho = wnorm * c * m_pos / (c * m_pos + tau)
-        return np.where(m > 0.0, rho, 0.0)
-    beta = _clamp(tau * cp * m_pos ** (1.0 - r_prime))
-
-    def f(rho):
-        return rho + _clamp(beta * rho ** (r_prime - 1.0)) - wnorm
-
-    rho = solve_increasing(f, np.zeros_like(wnorm), wnorm)
-    return np.where((m > 0.0) & (wnorm > 0.0), rho, 0.0)
-
-
-def _outer_G(m, mbar, wnorm, tau, c, r, theta, q):
-    """Stationarity function of the reduced one-dimensional problem in m.
-
-    Uses the stable form of the kinetic slope: with rho = rho(m),
-    d/dm [tau m H*(-w/m)] = -(tau c^(1-r')/r) ((wnorm-rho)/(c^(1-r') tau))^r.
-    """
-    r_prime = r / (r - 1.0)
-    cp = c ** (1.0 - r_prime)
-    rho = _rho_inner(m, wnorm, tau, c, r)
-    kin_slope = (tau * cp / r) * _clamp(((wnorm - rho) / (cp * tau)) ** r)
-    cong = tau * theta * m ** (q - 1.0) if np.any(np.asarray(theta) != 0.0) else 0.0
-    return m - mbar + cong - kin_slope
-
-
 def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     """Exact prox of tau * [m H*(x, -w/m) + theta m^q / q] over m >= 0.
 
@@ -180,11 +119,8 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     shape.  c and theta broadcast against mbar.  Returns (m, w) with the
     apex convention: m = 0 forces w = 0.
 
-    The reduction: the optimal w is colinear with wbar, its magnitude rho(m)
-    solves a monotone scalar equation (closed form for r = 2), and m solves
-    the strictly increasing stationarity equation of the partially minimized
-    objective.  The quadratic case q = r = 2 uses monotone Newton on its
-    concave stationarity function; everything else falls back to bisection.
+    The optimal w is colinear with wbar; (m, |w|) comes from
+    ``_prox_quadratic`` at q = r = 2 and from ``_prox_joint`` otherwise.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -196,25 +132,86 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
         # a contiguous c: the Newton loop multiplies by it on every pass
         return _prox_quadratic(mbar, wbar, tau, c.copy(), theta)
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
-
-    # apex: the whole quarter-plane cost dominates the quadratic pull
-    apex = mbar + tau * c * _clamp((wnorm / tau) ** r) / r <= 0.0
-    mb = np.where(apex, 1.0, mbar)  # masked entries get a harmless surrogate
-    wn = np.where(apex, 0.0, wnorm)
-
-    r_prime = r / (r - 1.0)
-    cp = c ** (1.0 - r_prime)
-    hi = np.maximum(mb, 0.0) + (tau * cp / r) * _clamp((wn / (cp * tau)) ** r) + 1e-30
-
-    def G(m):
-        return _outer_G(m, mb, wn, tau, c, r, theta, q)
-
-    m = solve_increasing(G, np.zeros_like(mb), hi)
-    m = np.where(apex, 0.0, m)
-    rho = _rho_inner(m, wnorm, tau, c, r)
+    m, rho = _prox_joint(mbar, wnorm, tau, c, r, theta, q)
     wn_safe = np.where(wnorm > 0.0, wnorm, 1.0)
-    w = np.where((m > 0.0) & (wnorm > 0.0), rho / wn_safe, 0.0) * wbar
-    return m, w
+    return m, np.where(m > 0.0, rho / wn_safe, 0.0) * wbar
+
+
+def _prox_joint(mbar, wnorm, tau, c, r, theta, q):
+    """(m, rho) of the joint prox for any exponent cell, by Newton on (m, rho).
+
+    (m, rho) minimizes J = (m - mbar)^2/2 + (rho - |wbar|)^2/2 + rho kin/r'
+    + tau theta m^q/q with kin = tau c^(1-r') (rho/m)^(r'-1), a perspective
+    plus a quadratic: its Hessian [[a + A v, -A], [-A, 1 + A/v]] (v = rho/m,
+    A = (r'-1) kin/m, a = 1 + tau theta (q-1) m^(q-2)) is positive definite.
+    Steps go at most 0.99 of the way to m = 0 or rho = 0 and are halved until
+    L = J - J(0, 0), formed without cancellation, decreases.  The stop test is
+    on the stationarity equations as ``kinetic_kkt_residual`` forms them:
+    E1 = rho + kin - |wbar| and E2 = m - mbar + tau theta m^(q-1) -
+    (tau c^(1-r')/r) ((|wbar| - rho)/(tau c^(1-r')))^r.  Apex entries,
+    S = mbar + tau c (|wbar|/tau)^r / r <= 0, are (0, 0).  The start is on
+    E1 = 0 at the larger of the congestion-only prox of mbar and min(S/(2 + 2c
+    (|wbar|^2/(tau^2 c^(1-r')))^(r-1)), (S/(2 tau theta))^(1/(q-1))), where
+    each part of E2 is at most S/2: below the root, so L < 0 from the start.
+    """
+    r_prime = r / (r - 1.0)
+    m_out, rho_out = np.zeros(mbar.shape), np.zeros(mbar.shape)
+    with np.errstate(over="ignore"):
+        slack = mbar + tau * c * (wnorm / tau) ** r / r
+    idx = np.flatnonzero(slack > 0.0)  # off the apex
+    mb, wn, S, c_i = mbar.ravel()[idx], wnorm.ravel()[idx], slack.ravel()[idx], c.ravel()[idx]
+    t, th = tau * c_i ** (1.0 - r_prime), tau * theta.ravel()[idx]
+
+    def objective(m, rho, mb, wn, t, th):
+        kin = t * (rho / m) ** (r_prime - 1.0)
+        mq = m if q == 2.0 else m ** (q - 1.0)
+        cong = th * mq / q
+        L = m * (0.5 * m - mb + cong) + rho * (0.5 * rho - wn + kin / r_prime)
+        size = m * (0.5 * m + np.abs(mb) + cong) + rho * (0.5 * rho + wn + kin / r_prime)
+        return kin, mq, L, size
+
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = np.minimum(S / (2.0 + 2.0 * c_i * (wn * wn / (tau * t)) ** (r - 1.0)),
+                           (S / (2.0 * th)) ** (1.0 / (q - 1.0)))
+        m = np.maximum(power_prox(mb, th, q), bound)
+        keep = m >= TINY  # a start below the normal range is within rounding of the apex
+        idx, mb, wn, t, th, m = idx[keep], mb[keep], wn[keep], t[keep], th[keep], m[keep]
+        rho = power_prox(wn, t * m ** (1.0 - r_prime), r_prime)
+    kin, mq, L, size = objective(m, rho, mb, wn, t, th)
+    for _ in range(NEWTON_MAX):
+        E1 = rho + kin - wn
+        E2 = m - mb + th * mq - (t / r) * ((wn - rho) / t) ** r
+        settled = (np.abs(E1) <= NEWTON_TOL * (1.0 + wn)) & (np.abs(E2) <= NEWTON_TOL * (1.0 + np.abs(mb)))
+        if settled.any():
+            m_out.ravel()[idx[settled]], rho_out.ravel()[idx[settled]] = m[settled], rho[settled]
+            keep = ~settled
+            idx, mb, wn, t, th = idx[keep], mb[keep], wn[keep], t[keep], th[keep]
+            m, rho, kin, mq, L, size, E1 = m[keep], rho[keep], kin[keep], mq[keep], L[keep], size[keep], E1[keep]
+        if idx.size == 0:
+            return m_out, rho_out
+        g_m = m - mb + th * mq - rho * kin / (r * m)
+        A = (r_prime - 1.0) * kin / m
+        a = 1.0 + th * (q - 1.0) * mq / m
+        v = rho / m
+        A_v = np.divide(A, v, out=np.zeros_like(A), where=rho > 0.0)
+        det = a * (1.0 + A_v) + A * v  # the Hessian's determinant, free of cancellation
+        d_m = -((1.0 + A_v) * g_m + A * E1) / det
+        d_rho = -((a + A * v) * E1 + A * g_m) / det
+        # at most 0.99 of the way to m = 0 or rho = 0, then halved until L decreases
+        step = np.minimum(1.0, 0.99 * np.minimum(
+            np.divide(m, -d_m, out=np.full_like(m, np.inf), where=d_m < 0.0),
+            np.divide(rho, -d_rho, out=np.full_like(m, np.inf), where=d_rho < 0.0)))
+        descent = 1e-4 * (g_m * d_m + E1 * d_rho)  # the Armijo share of the slope
+        for _ in range(NEWTON_MAX):
+            m_try, rho_try = m + step * d_m, rho + step * d_rho
+            trial = objective(m_try, rho_try, mb, wn, t, th)
+            short = trial[2] > L + step * descent + 1e-14 * size  # 1e-14 size: L's rounding
+            if not short.any():
+                break
+            step = np.where(short, 0.5 * step, step)
+        m, rho = m_try, rho_try
+        kin, mq, L, size = trial
+    raise NoConvergence(f"joint kinetic prox: {idx.size} entries unsettled after {NEWTON_MAX} Newton steps")
 
 
 def _prox_quadratic(mbar, wbar, tau, c, theta):
@@ -276,7 +273,7 @@ def kinetic_kkt_residual(m, w, mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     r_prime = r / (r - 1.0)
     cp = np.asarray(c, float) ** (1.0 - r_prime)
     m_pos = np.where(m > 0.0, m, 1.0)
-    res_w = np.where(m > 0.0, np.abs(rho + tau * cp * m_pos ** (1.0 - r_prime) * rho ** (r_prime - 1.0) - wnorm), 0.0)
+    res_w = np.where(m > 0.0, np.abs(rho + tau * cp * (rho / m_pos) ** (r_prime - 1.0) - wnorm), 0.0)
     res_m = np.where(
         m > 0.0,
         np.abs(m - np.asarray(mbar, float) + tau * np.asarray(theta, float) * m ** (q - 1.0) - (tau * cp / r) * ((wnorm - rho) / (cp * tau)) ** r),

@@ -66,6 +66,7 @@ def test_solve_verify_roundtrip(tmp_path, capsys):
     assert manifest["solver"] == "pd"
     assert manifest["case_info"]["case_label"] == "2B"
     assert abs(manifest["residual_report"]["duality_gap"]) <= 1e-4
+    assert payload["verdict"] == manifest["verdict"]
     for name in ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv", "log.csv"):
         assert (out / name).exists()
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgcontrols.prox import (
-    _outer_G,
+    TINY,
+    _prox_joint,
     kinetic_kkt_residual,
     prox_F,
     prox_Phi,
     prox_Phi_star,
     prox_kinetic,
     prox_kinetic_congestion,
-    solve_increasing,
+    power_prox,
 )
 from oracle import brute_prox_kinetic, brute_prox_phi_star
 
@@ -91,7 +94,7 @@ def test_prox_kinetic_brute_force_r2():
 
 
 def test_joint_prox_matches_generic_path_on_quadratic():
-    # the q = r = 2 Newton fast path and the generic bisection agree
+    # the q = r = 2 Newton fast path and the general joint Newton agree
     rng = np.random.default_rng(2)
     mbar = rng.uniform(-0.5, 2.5, size=64)
     wbar = rng.uniform(-1.5, 1.5, size=(1, 64))
@@ -102,14 +105,16 @@ def test_joint_prox_matches_generic_path_on_quadratic():
 
 
 def _general_quadratic_prox_m(mbar, wbar, tau, c, theta):
-    """m of the joint prox by the general path (apex test, bisection on _outer_G) at q = r = 2."""
+    """m of the joint prox by the general path (the joint Newton of every other cell) at q = r = 2."""
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
     apex = mbar + tau * c * (wnorm / tau) ** 2 / 2.0 <= 0.0
-    mb = np.where(apex, 1.0, mbar)
-    wn = np.where(apex, 0.0, wnorm)
-    hi = np.maximum(mb, 0.0) + (tau / (2.0 * c)) * (wn * c / tau) ** 2 + 1e-30
-    m = solve_increasing(lambda x: _outer_G(x, mb, wn, tau, c, 2.0, theta, 2.0), np.zeros_like(mb), hi)
-    return np.where(apex, 0.0, m), apex
+    m, _ = _prox_joint(mbar, wnorm, tau, c, 2.0, theta, 2.0)
+    return m, apex
+
+
+def _quadratic_G(m, mbar, wnorm, tau, c, theta):
+    """Stationarity in m at q = r = 2 with the momentum at its closed form c m/(c m + tau) |wbar|."""
+    return (1.0 + tau * theta) * m - mbar - tau * c * wnorm**2 / (2.0 * (c * m + tau) ** 2)
 
 
 def _quadratic_cases():
@@ -147,7 +152,7 @@ def test_quadratic_branch_matches_general_path(case):
     # where wbar = 0 it is the root, so G there is zero up to rounding
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
     start = np.maximum(mbar, 0.0) / (1.0 + tau * theta)
-    G0 = _outer_G(start, mbar, wnorm, tau, c, 2.0, theta, 2.0)
+    G0 = _quadratic_G(start, mbar, wnorm, tau, c, theta)
     assert np.all(np.where(apex, 0.0, G0) <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(mbar)))
     assert np.all((G0 < 0.0) | apex | (wnorm == 0.0))
 
@@ -163,6 +168,36 @@ def test_joint_prox_kkt_residuals():
         assert np.min(m) >= 0.0
         wn = np.sqrt(np.sum(w * w, axis=0))
         assert np.all(wn[m == 0.0] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(1.3, 3.5), r=st.floats(1.3, 3.5),
+       theta=st.one_of(st.just(0.0), st.floats(0.01, 10.0)), tau=st.floats(1e-3, 1.5),
+       c=st.floats(0.01, 2.5), mbar=st.floats(-2.0, 3.0), wnorm=st.floats(0.0, 3.0),
+       angle=st.floats(0.0, 2.0 * np.pi), components=st.sampled_from([1, 2]))
+def test_joint_prox_property(q, r, theta, tau, c, mbar, wnorm, angle, components):
+    # every exponent cell: m >= 0, the apex convention and the KKT bound, and
+    # no NoConvergence (it would propagate out of the call)
+    wbar = wnorm * (np.array([np.cos(angle)]) if components == 1 else np.array([np.cos(angle), np.sin(angle)]))
+    m, w = prox_kinetic_congestion(np.array(mbar), wbar, tau, c, r, theta, q)
+    assert m >= 0.0
+    if m == 0.0:
+        assert np.all(w == 0.0)
+    assert kinetic_kkt_residual(m, w, np.array(mbar), wbar, tau, c, r, theta, q) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(nbar=st.floats(-3.0, 3.0), lam=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       expo=st.floats(1.3, 4.4))
+def test_power_prox_property(nbar, lam, expo):
+    rho = float(power_prox(np.array(nbar), lam, expo))
+    if nbar <= 0.0:
+        assert rho == 0.0
+    elif rho < TINY:
+        # a root below the normal range settles there: the residual at TINY is >= 0
+        assert TINY + lam * TINY ** (expo - 1.0) >= nbar * (1.0 - 1e-10)
+    else:
+        assert abs(rho + lam * rho ** (expo - 1.0) - nbar) <= 1e-10 * nbar
 
 
 def test_prox_raises_on_bad_tau():
