@@ -123,21 +123,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
-def _spec_from_manifest(sol_dir: str):
-    return build_spec(sio.read_manifest(sol_dir)["config"], base_dir=sol_dir)
+def _load_run(sol_dir: str):
+    """The spec rebuilt from a run directory's manifest, and the solution stored beside it."""
+    spec = build_spec(sio.read_manifest(sol_dir)["config"], base_dir=sol_dir)
+    sol = sio.read_solution(sol_dir, spec.grid)
+    if sol.P.shape[1] != spec.k:
+        raise MissingArtifact(f"{os.path.join(sol_dir, 'P.csv')}: {sol.P.shape[1] + 1} columns, "
+                              f"expected {spec.k + 1} for price_dim = {spec.k}")
+    return spec, sol
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_manifest(args.solution)
-    sol = sio.read_solution(args.solution, spec.grid)
+    spec, sol = _load_run(args.solution)
     rep, verdict = weak_solution_report(sol, spec, tol=args.tol)
     print(json.dumps(rep.to_dict(), indent=2))
     return EXIT_OK if verdict else EXIT_VERDICT_FALSE
 
 
 def cmd_diagnose(args) -> int:
-    spec = _spec_from_manifest(args.solution)
-    sol = sio.read_solution(args.solution, spec.grid)
+    spec, sol = _load_run(args.solution)
     try:
         shifts = [float(tok) for tok in args.shifts.split(",") if tok.strip()]
     except ValueError:

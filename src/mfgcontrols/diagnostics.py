@@ -14,7 +14,7 @@ are restricted to the region where the weight base exceeds 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,9 @@ class RegularityRecord:
     space_shift_sums: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "space_norm_m": self.space_norm_m,
-            "space_norm_j": self.space_norm_j,
-            "time_norm_m": {str(k): v for k, v in self.time_norm_m.items()},
-            "time_norm_P": {str(k): v for k, v in self.time_norm_P.items()},
-            "time_shift_sums": {str(k): v for k, v in self.time_shift_sums.items()},
-            "space_shift_sums": {str(k): v for k, v in self.space_shift_sums.items()},
-        }
+        """The fields in order, with the shift tables keyed by str(shift)."""
+        return {k: {str(s): v for s, v in val.items()} if isinstance(val, dict) else val
+                for k, val in asdict(self).items()}
 
 
 def j1(xi, spec: ProblemSpec):

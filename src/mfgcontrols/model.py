@@ -20,7 +20,7 @@ diffusion matrix is constant; with constant A only the B cells occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -133,19 +133,7 @@ class CaseInfo:
     eta: float
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return v if np.isfinite(v) else "inf"
-
-        return {
-            "p": self.p,
-            "r_prime": self.r_prime,
-            "s_prime": enc(self.s_prime),
-            "sigma": self.sigma,
-            "case_label": self.case_label,
-            "r_tilde": self.r_tilde,
-            "kappa": enc(self.kappa),
-            "eta": enc(self.eta),
-        }
+        return {k: v if isinstance(v, str) or np.isfinite(v) else "inf" for k, v in asdict(self).items()}
 
 
 # -- problem specification ----------------------------------------------------
@@ -391,20 +379,28 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     rep.record("H4_boundary_data", ok, "" if ok else f"need m0 > 0 with unit mass (min={spec.m0.min():.3e}, mass={mass})")
 
     if spec.q > 1.0 and spec.r > 1.0 and (spec.price_free or spec.s > 1.0):
-        ok, detail = _h5_condition(spec.s_prime, spec.p, spec.r, g.d)
-        rep.record("H5_exponents", ok, detail)
+        _, found, detail = _h5_cell(spec.s_prime, spec.p, spec.r, g.d)
+        rep.record("H5_exponents", found is not None, detail)
     else:
         rep.record("H5_exponents", False, "exponents q, r, s must exceed 1 before (H5) applies")
     return rep
 
 
-def _h5_condition(s_prime: float, p: float, r: float, d: int):
-    """(H5) admissibility in the constant-A column of the exponent table."""
-    if s_prime < r:  # case 1B
-        ok = s_prime * (d + 1.0) / d >= p - _EPS
-        return ok, "" if ok else f"case 1B requires s'(d+1)/d >= p ({s_prime * (d + 1.0) / d:.6g} < {p:.6g})"
-    ok = case_2b_condition(s_prime, p, d)  # case 2B
-    return ok, "" if ok else f"case 2B requires s' >= 1+d or s'(1+d)/(d-s'+1) > p (s'={s_prime:.6g}, p={p:.6g}, d={d})"
+def _h5_cell(s_prime: float, p: float, r: float, d: int):
+    """(H5) in the constant-A column of the exponent table: (label, (r_tilde, kappa, eta) or None, detail).
+
+    Case 1B (s' < r) takes r_tilde = s' at p_tilde = 1; case 2B scans (1, r]
+    with search_rtilde_2b, whose verdict is final (case_2b_condition is its
+    closed-form limit, which can admit a triple that no scanned r_tilde reaches).
+    """
+    if s_prime < r:
+        kappa = float(kappa_bar(s_prime, 1.0, d))  # s'(d+1)/d
+        if kappa < p - _EPS:
+            return "1B", None, f"case 1B requires s'(d+1)/d >= p ({kappa:.6g} < {p:.6g})"
+        return "1B", (s_prime, kappa, float(eta_bar(s_prime, 1.0, d))), ""
+    found = search_rtilde_2b(s_prime, p, r, d)
+    detail = "" if found else f"case 2B: no r_tilde in (1, r] reaches kappa >= p (s'={s_prime:.6g}, p={p:.6g}, d={d})"
+    return "2B", found, detail
 
 
 def classify_exponents(spec: ProblemSpec) -> CaseInfo:
@@ -418,23 +414,7 @@ def classify_exponents(spec: ProblemSpec) -> CaseInfo:
         name, detail = report.failures[0]
         raise HypothesisViolation(f"{name} violated" + (f": {detail}" if detail else ""))
 
-    d = spec.grid.d
     p, rp, sp = spec.p, spec.r_prime, spec.s_prime
     sigma = rp * spec.q / (rp + spec.q - 1.0)
-
-    if sp < spec.r:  # case 1B: s' < r with constant A
-        r_tilde = sp
-        kappa = float(kappa_bar(r_tilde, 1.0, d))
-        eta = float(eta_bar(r_tilde, 1.0, d))
-        if kappa < p - _EPS:
-            raise HypothesisViolation(f"(H5) case 1B: kappa_bar(s', 1) = {kappa:.6g} < p = {p:.6g}")
-        label = "1B"
-    else:  # case 2B: s' >= r with constant A
-        found = search_rtilde_2b(sp, p, spec.r, d)
-        if found is None:
-            raise HypothesisViolation(
-                f"(H5) case 2B: no r_tilde in (1, r] reaches kappa >= p (s'={sp:.6g}, p={p:.6g}, d={d})"
-            )
-        r_tilde, kappa, eta = found
-        label = "2B"
+    label, (r_tilde, kappa, eta), _ = _h5_cell(sp, p, spec.r, spec.grid.d)  # admitted by the report
     return CaseInfo(p=p, r_prime=rp, s_prime=sp, sigma=sigma, case_label=label, r_tilde=r_tilde, kappa=kappa, eta=eta)

@@ -5,9 +5,9 @@ backward explicit pass for the value function with a monotone
 (Osher-Sethian type) upwind Hamiltonian, pointwise feedback evaluation, a
 forward conservative upwind pass for the density, and the price update.
 Each explicit pass subcycles its grid intervals with enough internal
-substeps to satisfy the CFL bound computed from the current wave speeds;
-forcing ``substeps=1`` on a violating configuration raises CFLViolation
-with the admissible step.
+substeps to satisfy the CFL bound (``CFL_SAFETY``) computed from the
+current wave speeds; an interval that needs more than ``MAX_SUBSTEPS``
+raises CFLViolation with the admissible step.
 
 The damped map x + beta (G(x) - x) contracts only for small beta (about
 0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes up to sixty
@@ -52,6 +52,8 @@ from .varsolve import Solution
 # 2 x depth x (m and P entries) x 8 B, 3.9 MiB at depth 60 on that grid.
 ANDERSON_DEPTH = 60
 GRAM_SHIFT = 1e-14  # added to the unit diagonal of the Anderson Gram matrix
+CFL_SAFETY = 0.5  # each explicit substep keeps dt times the CFL rate at most this
+MAX_SUBSTEPS = 4096  # substeps per grid interval before a sweep refuses it
 
 
 @dataclass
@@ -63,20 +65,14 @@ class PicardOptions:
     damping: float = 0.5
     max_outer: int = 200
     tol_fixed_point: float = 1e-9
-    cfl_safety: float = 0.5
-    max_substeps: int = 4096
 
     def __post_init__(self):
         if not self.tol_fixed_point >= 0.0:
             raise InvalidOption("tol_fixed_point must be >= 0")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidOption("damping must lie in (0, 1]")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise InvalidOption("cfl_safety must lie in (0, 1]")
         if self.max_outer < 1:
             raise InvalidOption("max_outer must be >= 1")
-        if self.max_substeps < 1:
-            raise InvalidOption("max_substeps must be >= 1")
 
 
 @dataclass
@@ -144,13 +140,12 @@ def _diffusion_cfl(spec: ProblemSpec) -> float:
     return s + 2.0 * off / g.hx**2
 
 
-def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None,
-              substeps: int | None = None) -> np.ndarray:
+def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Backward explicit sweep for the value function given (m, P).
 
     m is the full (nt+1)-slotted density, P the full price path; the output
     u is slotted at the left interval endpoints with u[nt] = u_T.  Substeps
-    per interval are chosen from the CFL bound unless forced.  Each substep
+    per interval double from one until the CFL bound holds.  Each substep
     forms the Osher-Sethian sum
     xi_sq = sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2
     (g = phi^T P) and steps u by ht (f(m) - c xi_sq^(r/2) / r + A_ij d_ij u).
@@ -159,7 +154,6 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     factors c / (r hx^r) of H and d c / hx^r of the CFL rate are formed
     once per call.
     """
-    opts = opts or PicardOptions()
     g = spec.grid
     A = spec.A_psd
     diffusive = np.any(A)
@@ -170,7 +164,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from S
     rate_coef = d * spec.c / hx**r  # the CFL rate is max(rate_coef S^speed_expo)
     ham_coef = spec.c / (r * hx**r)  # H = ham_coef S^ham_expo
-    limit = opts.cfl_safety * (1.0 + 1e-12)
+    limit = CFL_SAFETY * (1.0 + 1e-12)
     pad, cur, ghosts = _ghost_padded(n, d)
     slopes = np.empty((d, 2, *g.space_shape))
     lower, upper = slopes[:, 0], slopes[:, 1]
@@ -189,7 +183,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
     diff_rate = _diffusion_cfl(spec) if diffusive else 0.0
     for j in range(g.nt - 1, -1, -1):
         rhs, gj = fm[j + 1], g_signed[j]
-        n_sub = 1 if substeps is None else substeps
+        n_sub = 1
         while True:
             dt = ht / n_sub
             ok = True
@@ -218,13 +212,13 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec, opts: PicardOptio
                 cur += ham
             if ok:
                 break
-            if substeps is not None or n_sub >= opts.max_substeps:
-                admissible = opts.cfl_safety / max(rate, 1e-300)
+            if n_sub >= MAX_SUBSTEPS:
+                admissible = CFL_SAFETY / max(rate, 1e-300)
                 raise CFLViolation(
                     f"explicit value sweep needs ht <= {admissible:.3e} (interval {j + 1})",
                     admissible_ht=admissible,
                 )
-            n_sub = min(2 * n_sub, opts.max_substeps)
+            n_sub = min(2 * n_sub, MAX_SUBSTEPS)
             cur[...] = u[j + 1]
         u[j] = cur
     return u
@@ -249,8 +243,7 @@ def feedback(u: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return -spec.dH(xi)
 
 
-def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None,
-             substeps: int | None = None) -> np.ndarray:
+def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Forward conservative upwind sweep for the density from m0.
 
     Interval n is driven by the drift slice v[n-1]; mass is conserved
@@ -262,7 +255,6 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
     face.  The face velocities of each interval are scaled by its substep
     over hx before the sweep starts.
     """
-    opts = opts or PicardOptions()
     g = spec.grid
     A = spec.A_psd
     diffusive = np.any(A)
@@ -270,13 +262,12 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec, opts: PicardOptions | None = None
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
     rates = d * speeds / hx + (_diffusion_cfl(spec) if diffusive else 0.0)
-    needed = np.ceil(rates * ht / max(opts.cfl_safety, 1e-300) - 1e-12)
+    needed = np.ceil(rates * ht / CFL_SAFETY - 1e-12)
     # capped before the cast, so an infinite or NaN rate refuses the interval below
-    needed = np.maximum(1, np.fmin(needed, opts.max_substeps + 1)).astype(int)
-    n_subs = needed if substeps is None else np.full(g.nt, substeps)
-    refused = np.flatnonzero((n_subs < needed) | (n_subs > opts.max_substeps))
+    n_subs = np.maximum(1, np.fmin(needed, MAX_SUBSTEPS + 1)).astype(int)
+    refused = np.flatnonzero(n_subs > MAX_SUBSTEPS)
     if refused.size:
-        admissible = opts.cfl_safety / max(float(rates[refused[0]]), 1e-300)
+        admissible = CFL_SAFETY / max(float(rates[refused[0]]), 1e-300)
         raise CFLViolation(
             f"explicit transport sweep needs ht <= {admissible:.3e} (interval {refused[0] + 1})",
             admissible_ht=admissible,
@@ -365,11 +356,11 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
     residuals = []
     converged = False
     m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
-    u = solve_hjb(m, P, spec, opts)
+    u = solve_hjb(m, P, spec)
     v = feedback(u, P, spec)
     n_outer = 0
     for n_outer in range(1, opts.max_outer + 1):
-        m_new = solve_fp(v, spec, opts)
+        m_new = solve_fp(v, spec)
         f = np.concatenate((m_new.ravel(), update_price(m_new, v, spec).ravel()))
         f -= x
         res = float(np.abs(f[:n_m]).max()) + float(np.abs(f[n_m:]).max())
@@ -401,7 +392,7 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
                 x_next = candidate
         y_prev, f_prev, x = y, f, x_next
         m, P = x[:n_m].reshape(g.scalar_shape), x[n_m:].reshape(g.nt + 1, spec.k)
-        u = solve_hjb(m, P, spec, opts)
+        u = solve_hjb(m, P, spec)
         v = feedback(u, P, spec)
 
     w = np.zeros(g.vector_shape)

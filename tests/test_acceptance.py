@@ -14,7 +14,7 @@ from mfgcontrols.diagnostics import space_regularity, time_shift_sum
 from mfgcontrols.grid import Grid, div_values, grad_values, inner_Q
 from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec, case_2b_condition, kappa_bar
-from mfgcontrols.picard import PicardOptions, solve_fp
+from mfgcontrols.picard import solve_fp
 from mfgcontrols.prox import kinetic_kkt_residual, prox_F, prox_Phi_star, prox_kinetic
 from mfgcontrols.varsolve import SolverOptions, solve_primal_dual
 from mfgcontrols.verify import random_feasible_init, uniqueness_probe, weak_solution_report
@@ -209,7 +209,7 @@ def test_criterion_9_structural_invariants(uniform_solved, bump_solved):
     spec = uniform_instance(nx=32, nt=16)
     gg = spec.grid
     v = 0.7 * np.sin(2 * np.pi * gg.axis_coords())[None, None, :] * np.ones(gg.vector_shape)
-    m = solve_fp(v, spec, PicardOptions())
+    m = solve_fp(v, spec)
     masses = m.sum(axis=1) * gg.cell_volume
     drift = float(np.max(np.abs(np.diff(masses))))
     assert drift <= 1e-12

@@ -319,6 +319,15 @@ def test_solve_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
     assert _one_line_error(capsys).startswith("non-convergence: ")
 
 
+def test_solve_picard_cfl_refusal_exits_3(tmp_path, capsys):
+    # |D u_T| ~ 6e9: the value sweep would need far more than MAX_SUBSTEPS per interval
+    cfg = write_cfg(tmp_path / "c.cfg", nt=4, uT="cosine 1 1e9")
+    out = tmp_path / "run"
+    assert main(["solve", cfg, "--method", "picard", "--out", str(out)]) == 3
+    assert _one_line_error(capsys).startswith("non-convergence: explicit value sweep needs ht <= ")
+    assert not out.exists()
+
+
 def test_solve_diverged_exits_3(tmp_path, capsys, monkeypatch):
     from mfgcontrols import varsolve
 
@@ -370,3 +379,18 @@ def test_manifest_missing_key_exits_1(uniform_run, capsys, command, key):
     assert main([command, "--solution", str(uniform_run)]) == 1
     err = _one_line_error(capsys)
     assert err.startswith("config error: ") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+@pytest.mark.parametrize("extra", ["0", "0.5", None], ids=["zeros", "halves", "none"])
+def test_price_column_count_exits_1(uniform_run, capsys, command, extra):
+    # price_dim = 1 needs exactly one value column; an extra or a missing one is refused
+    lines = (uniform_run / "P.csv").read_text().splitlines()
+    if extra is None:
+        lines = [line.split(",")[0] for line in lines]
+    else:
+        lines = [lines[0] + ",value_1"] + [line + "," + extra for line in lines[1:]]
+    (uniform_run / "P.csv").write_text("\n".join(lines) + "\n")
+    assert main([command, "--solution", str(uniform_run)]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("input error: ") and "P.csv" in err

@@ -230,6 +230,18 @@ def test_case_2b_lemma_equivalence_small():
         assert direct == scanned, (sp, p, d, r)
 
 
+def test_h5_report_and_classifier_agree_on_scan_boundary_triple():
+    # case_2b_condition admits this case-2B triple only in the limit r_tilde -> 1,
+    # which the r_tilde scan never reaches: the report and the classifier both refuse it
+    spec = small_spec(q=1.6744917748745711, r=1.0816638739938083, s=10.245277991314826)
+    assert spec.r <= spec.s_prime and case_2b_condition(spec.s_prime, spec.p, 1)
+    assert search_rtilde_2b(spec.s_prime, spec.p, spec.r, 1) is None
+    rep = check_assumptions(spec)
+    assert [name for name, _ in rep.failures] == ["H5_exponents"]
+    with pytest.raises(HypothesisViolation, match="H5_exponents"):
+        classify_exponents(spec)
+
+
 def test_check_assumptions_canonical_passes():
     rep = check_assumptions(uniform_instance(nx=8, nt=4))
     assert rep.passed, rep.failures

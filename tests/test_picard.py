@@ -59,14 +59,16 @@ def test_fp_rest_state():
     assert np.max(np.abs(m - spec.m0)) == 0.0
 
 
-def test_fp_exact_translation_at_unit_cfl():
-    # ht = hx and v = 1: the upwind sweep is an exact one-node shift per step
+def test_fp_exact_translation_at_unit_cfl(monkeypatch):
+    # ht = hx and v = 1: at CFL number 1 the sweep takes one substep per
+    # interval, and the upwind step is an exact one-node shift
+    monkeypatch.setattr(picard, "CFL_SAFETY", 1.0)
     g = Grid(d=1, nx=16, nt=8, T=0.5)
     m0 = np.zeros(16)
     m0[3] = 16.0
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=m0)
     v = np.ones(g.vector_shape)
-    m = solve_fp(v, spec, PicardOptions(cfl_safety=1.0), substeps=1)
+    m = solve_fp(v, spec)
     for n in range(g.nt + 1):
         assert np.allclose(m[n], np.roll(spec.m0, n))
 
@@ -195,13 +197,13 @@ def _synthetic_map(monkeypatch, spec, density_map):
     g = spec.grid
     iterates = []
 
-    def fake_hjb(m, P, spec, opts=None):
+    def fake_hjb(m, P, spec):
         iterates.append(m.copy())
         return np.zeros(g.scalar_shape)
 
     monkeypatch.setattr(picard, "solve_hjb", fake_hjb)
     monkeypatch.setattr(picard, "feedback", lambda u, P, spec: np.zeros(g.vector_shape))
-    monkeypatch.setattr(picard, "solve_fp", lambda v, spec, opts=None: density_map(iterates[-1], len(iterates)))
+    monkeypatch.setattr(picard, "solve_fp", lambda v, spec: density_map(iterates[-1], len(iterates)))
     monkeypatch.setattr(picard, "update_price", lambda m, v, spec: np.zeros((g.nt + 1, 1)))
     return iterates
 
@@ -261,9 +263,9 @@ def _record_densities(monkeypatch):
     densities = []
     real_hjb = picard.solve_hjb
 
-    def recording_hjb(m, P, spec, opts=None):
+    def recording_hjb(m, P, spec):
         densities.append(m.copy())
-        return real_hjb(m, P, spec, opts)
+        return real_hjb(m, P, spec)
 
     monkeypatch.setattr(picard, "solve_hjb", recording_hjb)
     return densities
@@ -289,10 +291,10 @@ def test_returned_iterate_is_the_tested_one():
     result = picard_iterate(spec, opts)
     assert result.converged
     m, P = result.solution.m, result.solution.P
-    u = solve_hjb(m, P, spec, opts)
+    u = solve_hjb(m, P, spec)
     assert np.array_equal(u, result.solution.u)
     v = feedback(u, P, spec)
-    m_new = solve_fp(v, spec, opts)
+    m_new = solve_fp(v, spec)
     res = float(np.abs(m_new - m).max()) + float(np.abs(update_price(m_new, v, spec) - P).max())
     assert res == result.residuals[-1]
     assert res < opts.tol_fixed_point
@@ -345,24 +347,27 @@ def test_picard_uniform_with_diffusion():
 
 
 def test_cfl_violation_forced_substeps():
+    # a terminal cost this steep needs far more than MAX_SUBSTEPS per interval
     g = Grid(d=1, nx=16, nt=4, T=1.0)
     x = g.axis_coords()
-    spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(16), uT=np.cos(2 * np.pi * x))
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(16), uT=1e9 * np.cos(2 * np.pi * x))
     m = np.ones(g.scalar_shape)
     P = np.zeros((g.nt + 1, 1))
     with pytest.raises(CFLViolation) as err:
-        solve_hjb(m, P, spec, substeps=1)
+        solve_hjb(m, P, spec)
     assert err.value.admissible_ht is not None
-    assert err.value.admissible_ht < g.ht
+    assert err.value.admissible_ht < g.ht / picard.MAX_SUBSTEPS
 
 
 def test_cfl_violation_substep_cap():
+    # drift 1e4 on hx = 1/16, ht = 1/4: 80,000 substeps would be needed
     g = Grid(d=1, nx=16, nt=4, T=1.0)
     x = g.axis_coords()
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(16), uT=np.cos(2 * np.pi * x))
-    v = np.full(g.vector_shape, 10.0)
-    with pytest.raises(CFLViolation):
-        solve_fp(v, spec, PicardOptions(max_substeps=2))
+    v = np.full(g.vector_shape, 1e4)
+    with pytest.raises(CFLViolation) as err:
+        solve_fp(v, spec)
+    assert err.value.admissible_ht < g.ht / picard.MAX_SUBSTEPS
 
 
 def test_cfl_auto_subcycling_succeeds():
@@ -424,7 +429,7 @@ def _ref_diffusion_cfl(spec):
     return 2.0 * float(np.trace(A)) / g.hx**2 + 2.0 * off / g.hx**2
 
 
-def _ref_solve_hjb(m, P, spec, opts=PicardOptions()):
+def _ref_solve_hjb(m, P, spec):
     g = spec.grid
     u = np.empty(g.scalar_shape)
     u[g.nt] = spec.uT
@@ -441,7 +446,7 @@ def _ref_solve_hjb(m, P, spec, opts=PicardOptions()):
                 xi_sq, _ = _ref_upwind(spec, cur, g_shift)
                 norm = np.sqrt(xi_sq)
                 speed = float(np.max(spec.c * np.where(norm > 0.0, norm ** (spec.r - 1.0), 0.0)))
-                if dt * (g.d * speed / g.hx + diff_rate) > opts.cfl_safety * (1.0 + 1e-12):
+                if dt * (g.d * speed / g.hx + diff_rate) > picard.CFL_SAFETY * (1.0 + 1e-12):
                     ok = False
                     break
                 ham = spec.c * xi_sq ** (spec.r / 2.0) / spec.r
@@ -462,7 +467,7 @@ def _ref_feedback(u, P, spec):
     return v
 
 
-def _ref_solve_fp(v, spec, opts=PicardOptions()):
+def _ref_solve_fp(v, spec):
     g = spec.grid
     m = np.empty(g.scalar_shape)
     m[0] = spec.m0
@@ -470,7 +475,7 @@ def _ref_solve_fp(v, spec, opts=PicardOptions()):
     for n in range(1, g.nt + 1):
         drift = v[n - 1]
         rate = g.d * float(np.max(np.abs(drift))) / g.hx + diff_rate
-        n_sub = max(1, int(np.ceil(rate * g.ht / opts.cfl_safety - 1e-12)))
+        n_sub = max(1, int(np.ceil(rate * g.ht / picard.CFL_SAFETY - 1e-12)))
         dt = g.ht / n_sub
         cur = m[n - 1].copy()
         for _ in range(n_sub):
@@ -551,7 +556,6 @@ def test_vectorised_stages_match_reference_off_powers_of_two(case):
 
 
 def test_picard_options_validation():
-    for bad in ({"max_outer": 0}, {"max_substeps": 0}, {"damping": 0.0}, {"cfl_safety": 1.5},
-                {"tol_fixed_point": -1e-3}, {"tol_fixed_point": float("nan")}):
+    for bad in ({"max_outer": 0}, {"damping": 0.0}, {"tol_fixed_point": -1e-3}, {"tol_fixed_point": float("nan")}):
         with pytest.raises(InvalidOption):
             PicardOptions(**bad)
