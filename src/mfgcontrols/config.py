@@ -66,14 +66,27 @@ def _floats(text: str):
         raise ConfigParse(f"cannot parse numbers from '{text}'") from exc
 
 
-def _space_expression(text: str, grid: Grid, base_dir: str, is_density: bool) -> np.ndarray:
+def _is_csv(key: str, text: str) -> bool:
+    """Whether the value of theta, c, phi, m0 or uT is a CSV path: for m0 and uT
+    one that names no expression, for the others one token that is no number."""
+    toks = text.split()
+    if key in ("m0", "uT"):
+        return toks[0] not in _EXPRESSIONS
+    try:
+        float(text)
+    except ValueError:
+        return len(toks) == 1
+    return False
+
+
+def _space_expression(key: str, text: str, grid: Grid, base_dir: str) -> np.ndarray:
+    if _is_csv(key, text):
+        return _space_csv(os.path.join(base_dir, text), grid)
     toks = text.split()
     name = toks[0]
-    if name not in _EXPRESSIONS:
-        return _space_csv(os.path.join(base_dir, text), grid)
     coords = grid.meshgrid()
     if name == "uniform":
-        return np.ones(grid.space_shape) if is_density else np.zeros(grid.space_shape)
+        return np.ones(grid.space_shape) if key == "m0" else np.zeros(grid.space_shape)
     args = _floats(" ".join(toks[1:]))
     if name == "constant":
         if len(args) != 1:
@@ -109,14 +122,22 @@ def _space_csv(path: str, grid: Grid) -> np.ndarray:
     return data[:, -1].reshape(grid.space_shape)
 
 
-def _coefficient(text: str, grid: Grid, base_dir: str) -> np.ndarray:
-    toks = text.split()
-    if len(toks) == 1:
-        try:
-            return np.full(grid.space_shape, float(toks[0]))
-        except ValueError:
-            return _space_csv(os.path.join(base_dir, text), grid)
-    raise ConfigParse(f"coefficient must be a constant or CSV path, got '{text}'")
+def _coefficient(key: str, text: str, grid: Grid, base_dir: str):
+    if _is_csv(key, text):
+        return _space_csv(os.path.join(base_dir, text), grid)
+    if len(text.split()) != 1:
+        raise ConfigParse(f"coefficient must be a constant or CSV path, got '{text}'")
+    return float(text)
+
+
+def _matrix(key: str, text: str, rows: int, cols: int):
+    """A scalar (ProblemSpec scales the identity) or the rows x cols matrix of row-major numbers."""
+    nums = _floats(text)
+    if len(nums) == 1:
+        return nums[0]
+    if len(nums) != rows * cols:
+        raise ConfigParse(f"{key} needs 1 or {rows * cols} numbers, got {len(nums)}")
+    return np.array(nums).reshape(rows, cols)
 
 
 def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
@@ -145,34 +166,17 @@ def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
     except ValueError as exc:
         raise ConfigParse(str(exc)) from exc
 
-    theta = _coefficient(raw["theta"], grid, base_dir)
-    c = _coefficient(raw["c"], grid, base_dir)
-
-    phi_vals = raw["phi"].split()
-    if len(phi_vals) == 1 and not _is_number(phi_vals[0]):
-        phi = _space_csv(os.path.join(base_dir, raw["phi"]), grid)  # per-node scalar, k = d = 1
-        phi = phi.reshape(1, 1, *grid.space_shape)
+    theta = _coefficient("theta", raw["theta"], grid, base_dir)
+    c = _coefficient("c", raw["c"], grid, base_dir)
+    if _is_csv("phi", raw["phi"]):
+        phi = _space_csv(os.path.join(base_dir, raw["phi"]), grid)[None, None]  # per-node scalar, k = d = 1
         if k != 1 or d != 1:
             raise ConfigParse("per-node phi CSV is supported for k = d = 1 only")
     else:
-        nums = _floats(raw["phi"])
-        if len(nums) == 1:
-            phi = nums[0] * np.eye(k, d)
-        elif len(nums) == k * d:
-            phi = np.array(nums).reshape(k, d)
-        else:
-            raise ConfigParse(f"phi needs 1 or {k * d} numbers, got {len(nums)}")
-
-    nums = _floats(raw["A"])
-    if len(nums) == 1:
-        A = nums[0] * np.eye(d)
-    elif len(nums) == d * d:
-        A = np.array(nums).reshape(d, d)
-    else:
-        raise ConfigParse(f"A needs 1 or {d * d} numbers, got {len(nums)}")
-
-    m0 = _space_expression(raw["m0"], grid, base_dir, is_density=True)
-    uT = _space_expression(raw["uT"], grid, base_dir, is_density=False)
+        phi = _matrix("phi", raw["phi"], k, d)
+    A = _matrix("A", raw["A"], d, d)
+    m0 = _space_expression("m0", raw["m0"], grid, base_dir)
+    uT = _space_expression("uT", raw["uT"], grid, base_dir)
 
     try:
         return ProblemSpec(grid=grid, q=q, r=r, s=s, kappa_phi=kappa_phi, theta=theta,
@@ -183,17 +187,7 @@ def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
 
 def csv_paths(raw: dict) -> list:
     """The CSV paths a parsed config names, as written (relative to its directory)."""
-    paths = [raw[key] for key in ("theta", "c", "phi") if len(raw[key].split()) == 1 and not _is_number(raw[key])]
-    paths += [raw[key] for key in ("m0", "uT") if raw[key].split()[0] not in _EXPRESSIONS]
-    return paths
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+    return [raw[key] for key in ("theta", "c", "phi", "m0", "uT") if _is_csv(key, raw[key])]
 
 
 def load_spec(path: str) -> ProblemSpec:

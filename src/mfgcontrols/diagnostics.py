@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DeltaNotOnGrid, ShiftTooLarge
+from .errors import DeltaNotOnGrid, InvalidOption, ShiftTooLarge
 from .grid import grad_values, integrate_space_values, shift
 from .model import ProblemSpec, power_gradient
 from .varsolve import Solution
@@ -41,9 +41,9 @@ class RegularityRecord:
                 for k, val in asdict(self).items()}
 
 
-def j1(xi, spec: ProblemSpec):
-    """|xi|^(r/2-1) xi on the last axis, vanishing at the origin."""
-    return power_gradient(xi, 1.0, spec.r / 2.0 + 1.0)
+def j1(xi, spec: ProblemSpec, axis=-1):
+    """|xi|^(r/2-1) xi on the component axis, vanishing at the origin."""
+    return power_gradient(xi, 1.0, spec.r / 2.0 + 1.0, axis)
 
 
 def j2(zeta, spec: ProblemSpec):
@@ -67,8 +67,7 @@ def space_regularity(sol: Solution, spec: ProblemSpec):
     integrand_m = np.where(mask, m_safe ** (spec.q - 2.0) * dm2, 0.0)
     norm_m = float(np.sqrt(max(_integrate_Q_values(g, integrand_m), 0.0)))
 
-    du = grad_values(g, sol.u)  # (nt+1, d, *space)
-    j = np.moveaxis(j1(np.moveaxis(du, 1, -1), spec), -1, 1)
+    j = j1(grad_values(g, sol.u), spec, axis=1)  # (nt+1, d, *space)
     jac2 = np.zeros_like(m)
     for i in range(g.d):
         dji = grad_values(g, j[:, i])
@@ -113,6 +112,15 @@ def _min_weight(a, b, expo):
     return np.where(mask, safe**expo, 0.0)
 
 
+def _coercivity_terms(sol: Solution, spec: ProblemSpec, dj, m_shifted) -> float:
+    """Feedback and density terms of a shift sum: dj the difference of the shifted j1
+    arguments, m_shifted the density compared with sol.m under the min-power weight."""
+    g = spec.grid
+    term_H = 0.5 * _integrate_Q_values(g, np.maximum(sol.m, 0.0) * np.sum(dj * dj, axis=1))
+    wgt = _min_weight(np.maximum(m_shifted, 0.0), np.maximum(sol.m, 0.0), spec.q - 2.0)
+    return term_H + 0.5 * _integrate_Q_values(g, wgt * (m_shifted - sol.m) ** 2)
+
+
 def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) -> float:
     """Three-term coercivity sum at time shift eps (zero diffusion only).
 
@@ -124,7 +132,7 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
     """
     g = spec.grid
     if np.any(spec.A != 0.0):
-        raise ValueError("time diagnostics require zero diffusion (A = 0)")
+        raise InvalidOption("time diagnostics require zero diffusion (A = 0)")
     if abs(eps) >= g.T / 4.0:
         raise ShiftTooLarge(f"|eps| must be below T/4 = {g.T / 4.0}")
     if eps == 0.0:
@@ -141,15 +149,9 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
     m_p = _interp_time(sol.m, g, t_plus)
 
     def j1_arg(u_arr, P_arr):
-        xi = grad_values(g, u_arr) + spec.phi_transpose_price(P_arr)
-        return np.moveaxis(j1(np.moveaxis(xi, 1, -1), spec), -1, 1)
+        return j1(grad_values(g, u_arr) + spec.phi_transpose_price(P_arr), spec, axis=1)
 
-    dj = j1_arg(u_p, P_p) - j1_arg(u_m, P_m)
-    term_H = 0.5 * _integrate_Q_values(g, np.maximum(sol.m, 0.0) * np.sum(dj * dj, axis=1))
-
-    wgt_m = _min_weight(np.maximum(m_p, 0.0), np.maximum(sol.m, 0.0), spec.q - 2.0)
-    term_f = 0.5 * _integrate_Q_values(g, wgt_m * (m_p - sol.m) ** 2)
-
+    terms = _coercivity_terms(sol, spec, j1_arg(u_p, P_p) - j1_arg(u_m, P_m), m_p)
     if spec.price_free:
         term_P = 0.0
     else:
@@ -158,7 +160,7 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
         wgt_P = _min_weight(np_p, np_0, spec.s_prime - 2.0)
         diffs = wgt_P * np.sum((P_p - sol.P) ** 2, axis=-1)
         term_P = 0.5 * float(np.trapezoid(diffs, dx=g.ht))
-    return float(term_H + term_f + term_P)
+    return float(terms + term_P)
 
 
 def space_shift_sum(sol: Solution, spec: ProblemSpec, delta: float) -> float:
@@ -179,15 +181,10 @@ def space_shift_sum(sol: Solution, spec: ProblemSpec, delta: float) -> float:
     def j1_shifted(s):
         # shift u and phi together: shift the assembled argument along axis 2,
         # the first spatial axis of (nt+1, d, *space)
-        return np.moveaxis(j1(np.moveaxis(shift(xi, -s, 2), 1, -1), spec), -1, 1)
-
-    dj = j1_shifted(nodes) - j1_shifted(-nodes)
-    term_H = 0.5 * _integrate_Q_values(g, np.maximum(sol.m, 0.0) * np.sum(dj * dj, axis=1))
+        return j1(shift(xi, -s, 2), spec, axis=1)
 
     m_d = shift(sol.m, -nodes, 1)  # axis 1: first spatial axis of (nt+1, *space)
-    wgt = _min_weight(np.maximum(m_d, 0.0), np.maximum(sol.m, 0.0), spec.q - 2.0)
-    term_f = 0.5 * _integrate_Q_values(g, wgt * (m_d - sol.m) ** 2)
-    return float(term_H + term_f)
+    return float(_coercivity_terms(sol, spec, j1_shifted(nodes) - j1_shifted(-nodes), m_d))
 
 
 def diagnose(sol: Solution, spec: ProblemSpec, eps_list=(), delta_list=()) -> RegularityRecord:

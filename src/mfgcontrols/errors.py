@@ -32,7 +32,7 @@ class Diverged(MFGError):
 class CFLViolation(MFGError):
     """Explicit sweep refused: time step too large for the wave speeds.
 
-    Carries the largest admissible step in ``admissible_ht``.
+    Carries the largest admissible grid interval in ``admissible_ht``.
     """
 
     def __init__(self, message, admissible_ht=None):

@@ -67,29 +67,23 @@ def power_conjugate_coeff(coeff, expo):
 # -- kappa_bar / eta_bar and the exponent table ------------------------------
 
 
-def kappa_bar(r_tilde, p_tilde, d):
-    """Integrability gain exponent; vectorized in r_tilde/p_tilde."""
-    r_tilde = np.asarray(r_tilde, dtype=float)
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    margin = d - r_tilde * (p_tilde - 1.0)
-    out = np.where(
-        margin > _EPS,
-        r_tilde * p_tilde * (1.0 + d) / np.where(margin > _EPS, margin, 1.0),
-        np.where(margin < -_EPS, np.inf, BORDERLINE_SENTINEL),
-    )
+def _over_margin(numerator, r_tilde, p_tilde, d):
+    """numerator(rt, pt) / (d - rt (pt - 1)) where that margin is positive, the
+    sentinel on the critical line and inf above it; vectorized in r_tilde/p_tilde."""
+    rt, pt = np.asarray(r_tilde, dtype=float), np.asarray(p_tilde, dtype=float)
+    margin = d - rt * (pt - 1.0)
+    out = np.where(margin > _EPS, numerator(rt, pt) / np.where(margin > _EPS, margin, 1.0),
+                   np.where(margin < -_EPS, np.inf, BORDERLINE_SENTINEL))
     return out if out.ndim else float(out)
+
+
+def kappa_bar(r_tilde, p_tilde, d):
+    """Integrability gain exponent."""
+    return _over_margin(lambda rt, pt: rt * pt * (1.0 + d), r_tilde, p_tilde, d)
 
 
 def eta_bar(r_tilde, p_tilde, d):
-    r_tilde = np.asarray(r_tilde, dtype=float)
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    margin = d - r_tilde * (p_tilde - 1.0)
-    out = np.where(
-        margin > _EPS,
-        d * (r_tilde * (p_tilde - 1.0) + 1.0) / np.where(margin > _EPS, margin, 1.0),
-        np.where(margin < -_EPS, np.inf, BORDERLINE_SENTINEL),
-    )
-    return out if out.ndim else float(out)
+    return _over_margin(lambda rt, pt: d * (rt * (pt - 1.0) + 1.0), r_tilde, p_tilde, d)
 
 
 def case_2b_condition(s_prime: float, p: float, d: int) -> bool:

@@ -7,7 +7,7 @@ forward conservative upwind pass for the density, and the price update.
 Each explicit pass subcycles its grid intervals with enough internal
 substeps to satisfy the CFL bound (``CFL_SAFETY``) computed from the
 current wave speeds; an interval that needs more than ``MAX_SUBSTEPS``
-raises CFLViolation with the admissible step.
+raises CFLViolation with the admissible interval.
 
 The damped map x + beta (G(x) - x) contracts only for small beta (about
 0.05 on the 64 x 64 bump, ~415 sweeps), so the loop mixes up to sixty
@@ -62,7 +62,7 @@ class PicardOptions:
     residual is strictly below ``tol_fixed_point``, so 0 runs ``max_outer`` sweeps.
     """
 
-    damping: float = 0.5
+    damping: float = 0.05
     max_outer: int = 200
     tol_fixed_point: float = 1e-9
 
@@ -140,6 +140,13 @@ def _diffusion_cfl(spec: ProblemSpec) -> float:
     return s + 2.0 * off / g.hx**2
 
 
+def _refuse(sweep: str, rate: float, interval: int) -> CFLViolation:
+    """Refusal of an interval needing over MAX_SUBSTEPS substeps at this CFL rate."""
+    admissible = MAX_SUBSTEPS * CFL_SAFETY / max(rate, 1e-300)  # the largest ht those substeps cover
+    return CFLViolation(f"explicit {sweep} sweep needs ht <= {admissible:.3e} (interval {interval})",
+                        admissible_ht=admissible)
+
+
 def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Backward explicit sweep for the value function given (m, P).
 
@@ -213,11 +220,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
             if ok:
                 break
             if n_sub >= MAX_SUBSTEPS:
-                admissible = CFL_SAFETY / max(rate, 1e-300)
-                raise CFLViolation(
-                    f"explicit value sweep needs ht <= {admissible:.3e} (interval {j + 1})",
-                    admissible_ht=admissible,
-                )
+                raise _refuse("value", rate, j + 1)
             n_sub = min(2 * n_sub, MAX_SUBSTEPS)
             cur[...] = u[j + 1]
         u[j] = cur
@@ -267,11 +270,7 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     n_subs = np.maximum(1, np.fmin(needed, MAX_SUBSTEPS + 1)).astype(int)
     refused = np.flatnonzero(n_subs > MAX_SUBSTEPS)
     if refused.size:
-        admissible = CFL_SAFETY / max(float(rates[refused[0]]), 1e-300)
-        raise CFLViolation(
-            f"explicit transport sweep needs ht <= {admissible:.3e} (interval {refused[0] + 1})",
-            admissible_ht=admissible,
-        )
+        raise _refuse("transport", float(rates[refused[0]]), refused[0] + 1)
     steps = ht / n_subs
     idx = _wrap_index(n)
     v_plus, v_minus = [], []

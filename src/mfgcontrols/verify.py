@@ -21,11 +21,12 @@ from .model import ProblemSpec
 from .varsolve import (
     Solution,
     SolverOptions,
-    dual_gamma,
-    eval_B,
+    _constraint,
+    _eval_B,
+    _gamma_at,
+    _residual_norms,
     eval_D,
     kinetic_energy_values,
-    residuals,
     solve_primal_dual,
 )
 
@@ -79,19 +80,16 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     # interval fields: m, w, gamma at right nodes, u, P at left nodes
     m, w, gamma = sol.m[1:], sol.w[1:], sol.gamma[1:]
     u, P = sol.u[: g.nt], sol.P[: g.nt]
-
-    gap = eval_B(m, w, spec) + eval_D(u, P, gamma, spec)
-
-    lhs = dual_gamma(spec, u, P)
-    f_m = spec.coupling_f(np.maximum(m, 0.0))
-    hj_violation = float(np.sum(np.maximum(lhs - f_m, 0.0)) * ht * vol)
-
-    # the first interval starts from the solution's own slot 0, whose
-    # mismatch with m0 is counted separately
-    _, _, fp_res, price_residual = residuals(spec, m, w, P, m_start=sol.m[0])
-    fp_residual = float(np.sum(np.abs(sol.m[0] - spec.m0)) * vol) + fp_res
-
+    # R, Z and xi once each, as the saddle-point loop forms them; the first interval starts
+    # from the solution's own slot 0, whose mismatch with m0 is counted separately
+    R, Z = _constraint(spec, m, w, sol.m[0]), spec.aggregate_kernel(w)
     xi = grad_values(g, u) + spec.phi_transpose_price(P)
+
+    gap = _eval_B(m, w, Z, spec) + eval_D(u, P, gamma, spec)
+    f_m = spec.coupling_f(np.maximum(m, 0.0))
+    hj_violation = float(np.sum(np.maximum(_gamma_at(spec, u, xi) - f_m, 0.0)) * ht * vol)
+    fp_res, price_residual = _residual_norms(spec, R, Z, P)
+    fp_residual = float(np.sum(np.abs(sol.m[0] - spec.m0)) * vol) + fp_res
     fb = w + np.maximum(m, 0.0)[:, None] * spec.dH(xi)
     feedback_residual = float(np.sum(np.sqrt(np.sum(fb * fb, axis=1))) * ht * vol)
 

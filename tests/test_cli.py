@@ -138,13 +138,31 @@ def test_diagnose_refuses_diffusion(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["diagnose", "--solution", str(out), "--shifts", "0.02"])
     assert rc == 1
-    assert "A = 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: time diagnostics require zero diffusion (A = 0)\n"
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_diagnose_space_shifts_only_with_diffusion(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", A=0.05)
+    out = tmp_path / "runA"
+    assert main(["solve", cfg, "--out", str(out), "--tol", "1e-6", "--max-iter", "30000"]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--solution", str(out), "--shifts", ""]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["time_shift_sums"] == {} and len(rec["space_shift_sums"]) == 3
+    kinds = [line.split(",")[0] for line in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert kinds == ["space"] * 3
+
+
+def test_solve_has_no_seed_option(tmp_path, capsys):
+    assert main(["solve", UNIFORM_CFG, "--out", str(tmp_path / "run"), "--seed", "3"]) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_reproducible_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", UNIFORM_CFG, "--out", str(out1), "--tol", "1e-6", "--seed", "3"]) == 0
-    assert main(["solve", UNIFORM_CFG, "--out", str(out2), "--tol", "1e-6", "--seed", "3"]) == 0
+    assert main(["solve", UNIFORM_CFG, "--out", str(out1), "--tol", "1e-6"]) == 0
+    assert main(["solve", UNIFORM_CFG, "--out", str(out2), "--tol", "1e-6"]) == 0
     capsys.readouterr()
     for name in ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv", "log.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -367,7 +367,15 @@ def test_cfl_violation_substep_cap():
     v = np.full(g.vector_shape, 1e4)
     with pytest.raises(CFLViolation) as err:
         solve_fp(v, spec)
-    assert err.value.admissible_ht < g.ht / picard.MAX_SUBSTEPS
+    # the refusal names the admissible grid interval, not the admissible substep
+    admissible = picard.MAX_SUBSTEPS * picard.CFL_SAFETY / (1e4 * g.nx)  # 0.0128
+    assert err.value.admissible_ht == pytest.approx(admissible, rel=1e-12)
+    assert f"needs ht <= {admissible:.3e}" in str(err.value)
+    # and an interval that short runs: ht = 1/80 = 0.0125 takes 4,000 substeps
+    g = Grid(d=1, nx=16, nt=80, T=1.0)
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(16), uT=np.cos(2 * np.pi * x))
+    m = solve_fp(np.full(g.vector_shape, 1e4), spec)
+    assert g.ht <= admissible and np.all(np.isfinite(m))
 
 
 def test_cfl_auto_subcycling_succeeds():
