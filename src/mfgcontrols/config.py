@@ -143,12 +143,13 @@ def _matrix(key: str, text: str, rows: int, cols: int):
 def build_spec(raw: dict, base_dir: str = ".") -> ProblemSpec:
     """Materialize a ProblemSpec (and its Grid) from a parsed config.
 
-    Every key must be present: a run's manifest stores its config with the
-    defaults filled in, so a missing key is refused rather than defaulted.
+    Every key must be present with a value that is not blank: a run's manifest
+    stores its config with the defaults filled in, so a missing key is refused
+    rather than defaulted.
     """
-    missing = sorted(_KEYS - raw.keys())
+    missing = sorted(key for key in _KEYS if not str(raw.get(key, "")).strip())
     if missing:
-        raise ConfigParse(f"missing key '{missing[0]}'")
+        raise ConfigParse(f"missing or blank value for key '{missing[0]}'")
     try:
         d = int(raw["dimension"])
         nx = int(raw["nx"])

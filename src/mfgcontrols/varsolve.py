@@ -37,12 +37,12 @@ Each iteration is over-relaxed PDHG in the primal-first order (Condat, JOTA
 2013; Chambolle-Pock, Math. Prog. 2016), with x = (m, w) and y = (u, P):
 the prox point x~ = prox(x - tau K^T y); the dual step y~ at 2 x~ - x; the
 certificate of (x~, y~); then (x, y) += RELAX ((x~, y~) - (x, y)).  The
-certificate, the stop test and the returned Solution use the prox outputs
-(x~, y~), which keep m >= 0 (a relaxed density need not).  The transport
-residual R, the aggregated flux Z and the control argument xi = Du + phi^T P
-are affine in the point, so the dual step at 2 x~ - x uses 2 R~ - R and
-2 Z~ - Z, and the relaxation moves R, Z and xi along with the point instead
-of recomputing them.
+certificate, the returned Solution and the stop test (the verifier's verdict
+on that Solution) use the prox outputs (x~, y~), which keep m >= 0 (a
+relaxed density need not).  The transport residual R, the aggregated flux Z
+and the control argument xi = Du + phi^T P are affine in the point, so the
+dual step at 2 x~ - x uses 2 R~ - R and 2 Z~ - Z, and the relaxation moves
+R, Z and xi along with the point instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Solution:
 
 @dataclass
 class SolverOptions:
-    """Termination of the saddle-point loop: an iteration budget and the gap tolerance.
+    """Termination of the saddle-point loop: an iteration budget and the verdict tolerance tol_gap.
 
     The steps are not options: the primal step starts at TAU0 and adapts
     by residual balancing (see BALANCE), the price step keeps
@@ -147,7 +147,10 @@ class SolverOptions:
 
 @dataclass
 class ConvergenceLog:
-    """Per-iteration history of the saddle-point run; steps holds the last tau, omega and sigma_price."""
+    """Per-iteration saddle-point history; converged: a true verifier verdict at tol_gap.
+
+    gap is B + D at the dual-feasible gamma; steps holds the last tau, omega and sigma_price.
+    """
 
     iters: list = field(default_factory=list)
     B: list = field(default_factory=list)
@@ -182,13 +185,8 @@ def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np
     return kin
 
 
-def eval_B(m: np.ndarray, w: np.ndarray, spec: ProblemSpec) -> float:
-    """Primal cost of interval fields; +inf on m < 0 or convention breach."""
-    return _eval_B(m, w, spec.aggregate_kernel(w), spec)
-
-
-def _eval_B(m, w, Z, spec):
-    """eval_B with the aggregated flux Z = aggregate_kernel(w) already formed."""
+def eval_B(m: np.ndarray, w: np.ndarray, Z: np.ndarray, spec: ProblemSpec) -> float:
+    """Primal cost of interval fields with Z = aggregate_kernel(w); +inf on m < 0 or convention breach."""
     g = spec.grid
     if m.min() < 0.0:
         return np.inf
@@ -308,18 +306,13 @@ def _transport_step(spec: ProblemSpec, scale: float):
     return step
 
 
-def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, p_int: np.ndarray) -> np.ndarray:
-    """Dual-feasible congestion multiplier from (u, P) interval variables.
+def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Dual-feasible congestion multiplier from interval u and xi = Du + phi^T P.
 
-    gamma_i = -(u_{i+1} - u_i)/ht - A_ij d_ij u_i + H(x, Du_i + phi^T P_i)
-    with the terminal ghost u_nt = u_T.  Evaluating D here yields a valid
-    lower bound on -B at every iterate.
+    gamma_i = -(u_{i+1} - u_i)/ht - A_ij d_ij u_i + H(x, xi_i) with the
+    terminal ghost u_nt = u_T.  Evaluating D here yields a valid lower bound
+    on -B at every iterate.
     """
-    return _gamma_at(spec, u_int, grad_values(spec.grid, u_int) + spec.phi_transpose_price(p_int))
-
-
-def _gamma_at(spec, u_int, xi):
-    """dual_gamma with the control argument xi = Du + phi^T P already formed."""
     g = spec.grid
     gam = spec.hamiltonian(xi)
     if spec.A.any():
@@ -354,13 +347,15 @@ def default_init(spec: ProblemSpec):
 def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init: Solution | None = None):
     """Run the saddle-point iteration; returns (Solution, ConvergenceLog).
 
-    Stops when |B + D| <= tol_gap (1 + |B|), also with D at gamma = f(m),
-    and the transport residual is below tol_gap, or at max_iter with
+    Stops when ``weak_solution_report`` gives the prox point's Solution a
+    true verdict at tol_gap, and returns that Solution; or at max_iter with
     converged = False in the log.  The price-free game (kappa_phi = 0) is
     solved by the same iteration: its price prox returns P = 0.
     """
+    from .verify import weak_solution_report  # verify imports this module
     opts = opts or SolverOptions()
     g = spec.grid
+    tol = opts.tol_gap
     spec.A_psd  # raises NotPSD
 
     tau = TAU0
@@ -403,17 +398,19 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         # certificate of the prox point (x~, y~)
         log.m_min = min(log.m_min, float(mt.min()))
         fp_res, price_res = _residual_norms(spec, Rt, Zt, pt)
-        Bv = _eval_B(mt, wt, Zt, spec)
-        Dv = eval_D(ut, pt, _gamma_at(spec, ut, xit), spec)
+        Bv = eval_B(mt, wt, Zt, spec)
+        Dv = eval_D(ut, pt, dual_gamma(spec, ut, xit), spec)
         gap = Bv + Dv
         log.append(it, Bv, Dv, gap, fp_res, price_res)
         if not math.isfinite(gap + fp_res):  # also catches B = +inf with D = -inf
             raise Diverged(f"non-finite certificate at iteration {it}: B = {Bv}, D = {Dv}, fp_res = {fp_res}")
-        # the returned Solution carries gamma = f(m), so its own gap (the verifier's) must hold too
-        tol_B = opts.tol_gap * (1.0 + abs(Bv))
-        if abs(gap) <= tol_B and fp_res <= opts.tol_gap and abs(Bv + eval_D(ut, pt, spec.coupling_f(mt), spec)) <= tol_B:
-            log.converged = True
-            break
+        # stop on the verifier's verdict; its transport, price and gap (at gamma = f(m)) entries are
+        # these numbers with the same bound, so the report runs only once they hold
+        if fp_res <= tol and price_res <= tol and abs(Bv + eval_D(ut, pt, spec.coupling_f(mt), spec)) <= tol:
+            sol = _finalize(spec, mt, wt, ut, pt)
+            if weak_solution_report(sol, spec, tol)[1]:
+                log.converged = True
+                break
 
         # relaxation: the point and its affine images move by RELAX times their step
         dm, dw = mt - m, wt - w
@@ -433,4 +430,4 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
 
     log.steps = {"tau": tau, "omega": OMEGA, "sigma_price": sigma_tau / tau}
     log.iterations = log.iters[-1] if log.iters else 0
-    return _finalize(spec, mt, wt, ut, pt), log
+    return (sol if log.converged else _finalize(spec, mt, wt, ut, pt)), log

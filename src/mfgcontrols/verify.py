@@ -5,8 +5,8 @@ eight numbers: the duality gap B + D, the one-sided violation of the
 backward inequality, the transport residual, the pointwise price and
 feedback residuals, the complementarity scalar, the mass drift and the
 density minimum.  All residuals are interval-aligned L1 norms in the same
-quadrature in which the discrete duality is exact, so a converged
-saddle-point output drives every entry to its solver tolerance.
+quadrature in which the discrete duality is exact.  The saddle-point loop
+stops on this module's verdict at its gap tolerance.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .varsolve import (
     Solution,
     SolverOptions,
     _constraint,
-    _eval_B,
-    _gamma_at,
     _residual_norms,
+    dual_gamma,
+    eval_B,
     eval_D,
     kinetic_energy_values,
     solve_primal_dual,
@@ -85,9 +85,9 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     R, Z = _constraint(spec, m, w, sol.m[0]), spec.aggregate_kernel(w)
     xi = grad_values(g, u) + spec.phi_transpose_price(P)
 
-    gap = _eval_B(m, w, Z, spec) + eval_D(u, P, gamma, spec)
+    gap = eval_B(m, w, Z, spec) + eval_D(u, P, gamma, spec)
     f_m = spec.coupling_f(np.maximum(m, 0.0))
-    hj_violation = float(np.sum(np.maximum(_gamma_at(spec, u, xi) - f_m, 0.0)) * ht * vol)
+    hj_violation = float(np.sum(np.maximum(dual_gamma(spec, u, xi) - f_m, 0.0)) * ht * vol)
     fp_res, price_residual = _residual_norms(spec, R, Z, P)
     fp_residual = float(np.sum(np.abs(sol.m[0] - spec.m0)) * vol) + fp_res
     fb = w + np.maximum(m, 0.0)[:, None] * spec.dH(xi)

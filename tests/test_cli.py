@@ -357,6 +357,14 @@ def test_solve_diverged_exits_3(tmp_path, capsys, monkeypatch):
     assert _one_line_error(capsys).startswith("non-convergence: ")
 
 
+def test_solve_then_verify_at_the_solve_tolerance(tmp_path, capsys):
+    # converged means the verifier's verdict at --tol, so the run verifies on its own at that --tol
+    out = tmp_path / "run"
+    assert main(["solve", UNIFORM_CFG, "--out", str(out), "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]
+    assert main(["verify", "--solution", str(out), "--tol", "1e-3"]) == 0
+
+
 @pytest.mark.parametrize("command", ["classify", "solve"])
 @pytest.mark.parametrize("key", ["m0", "uT"])
 def test_empty_expression_exits_1(tmp_path, capsys, command, key):
@@ -397,6 +405,18 @@ def test_manifest_missing_key_exits_1(uniform_run, capsys, command, key):
     assert main([command, "--solution", str(uniform_run)]) == 1
     err = _one_line_error(capsys)
     assert err.startswith("config error: ") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+@pytest.mark.parametrize("value", ["", "  "])
+def test_manifest_blank_value_exits_1(uniform_run, capsys, command, value):
+    path = uniform_run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["m0"] = value
+    path.write_text(json.dumps(manifest))
+    assert main([command, "--solution", str(uniform_run)]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: ") and "'m0'" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "diagnose"])

@@ -52,16 +52,16 @@ def exact_uniform_fields(spec):
 
 def test_eval_B_uniform_value(spec8):
     _, m, w, _, _ = exact_uniform_fields(spec8)
-    assert eval_B(m[1:], w[1:], spec8) == pytest.approx(0.5)  # T/2 with theta = 1, q = 2
+    assert eval_B(m[1:], w[1:], spec8.aggregate_kernel(w[1:]), spec8) == pytest.approx(0.5)  # T/2 with theta = 1, q = 2
 
 
 def test_eval_B_perspective_violation_is_inf(spec8):
     _, m, w, _, _ = exact_uniform_fields(spec8)
     m[2, 3] = 0.0
     w[2, 0, 3] = 0.5
-    assert eval_B(m[1:], w[1:], spec8) == np.inf
+    assert eval_B(m[1:], w[1:], spec8.aggregate_kernel(w[1:]), spec8) == np.inf
     m[1, 1] = -1e-3
-    assert eval_B(m[1:], w[1:], spec8) == np.inf
+    assert eval_B(m[1:], w[1:], spec8.aggregate_kernel(w[1:]), spec8) == np.inf
 
 
 def test_eval_B_terminal_cost():
@@ -69,7 +69,7 @@ def test_eval_B_terminal_cost():
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(8), uT=3.0)
     m = np.ones(g.scalar_shape)
     w = np.zeros(g.vector_shape)
-    assert eval_B(m[1:], w[1:], spec) == pytest.approx(0.5 + 3.0)
+    assert eval_B(m[1:], w[1:], spec.aggregate_kernel(w[1:]), spec) == pytest.approx(0.5 + 3.0)
 
 
 def test_eval_D_values(spec8):
@@ -87,7 +87,7 @@ def test_eval_D_values(spec8):
 def test_duality_gap_zero_at_exact_uniform(spec8):
     u, m, w, P, gamma = exact_uniform_fields(spec8)
     nt = spec8.grid.nt
-    assert abs(eval_B(m[1:], w[1:], spec8) + eval_D(u[:nt], P[:nt], gamma[1:], spec8)) <= 1e-14
+    assert abs(eval_B(m[1:], w[1:], spec8.aggregate_kernel(w[1:]), spec8) + eval_D(u[:nt], P[:nt], gamma[1:], spec8)) <= 1e-14
 
 
 # -- transport constraint --------------------------------------------------------
@@ -448,9 +448,10 @@ def test_loop_certificate_equals_functionals_of_solution(bump_spec, bump_solved)
     sol, log = bump_solved
     spec, nt = bump_spec, bump_spec.grid.nt
     u, P, m, w = sol.u[:nt], sol.P[:nt], sol.m[1:], sol.w[1:]
-    _, _, fp_res, price_res = residuals(spec, m, w, P)
-    assert log.B[-1] == eval_B(m, w, spec)
-    assert log.D[-1] == eval_D(u, P, dual_gamma(spec, u, P), spec)
+    _, Z, fp_res, price_res = residuals(spec, m, w, P)
+    xi = grad_values(spec.grid, u) + spec.phi_transpose_price(P)
+    assert log.B[-1] == eval_B(m, w, Z, spec)
+    assert log.D[-1] == eval_D(u, P, dual_gamma(spec, u, xi), spec)
     assert log.fp_res[-1] == fp_res
     assert log.price_res[-1] == price_res
 
@@ -465,6 +466,15 @@ def test_converged_solution_certifies_its_own_gap(tol):
     rep, _ = weak_solution_report(sol, spec, tol=tol)
     assert log.converged
     assert abs(rep.duality_gap) <= tol * (1.0 + abs(log.B[-1]))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_converged_means_true_verdict(n):
+    # the loop stops on the verifier's verdict, so a converged bump certifies at its own tolerance
+    spec = bump_instance(nx=n, nt=n)
+    sol, log = solve_primal_dual(spec, SolverOptions(tol_gap=1e-3))
+    assert log.converged
+    assert weak_solution_report(sol, spec, 1e-3)[1]
 
 
 def test_uniform_instance_2d():
@@ -499,7 +509,7 @@ def test_weak_duality_feasible_pairs(uniform_spec):
     rng = np.random.default_rng(3)
     m = np.broadcast_to(spec.m0, g.scalar_shape).copy()
     w = np.zeros(g.vector_shape)
-    B = eval_B(m[1:], w[1:], spec)
+    B = eval_B(m[1:], w[1:], spec.aggregate_kernel(w[1:]), spec)
     for _ in range(5):
         u = rng.standard_normal(g.scalar_shape)
         P = rng.standard_normal((g.nt + 1, 1))
