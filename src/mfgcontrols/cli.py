@@ -73,7 +73,7 @@ def cmd_solve(args) -> int:
     case = classify_exponents(spec)  # raises HypothesisViolation naming the first failure
     inputs = _input_csvs(base, raw)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.method == "pd":
         opts = SolverOptions(max_iter=args.max_iter, tol_gap=args.tol)
         sol, log = solve_primal_dual(spec, opts)
@@ -91,7 +91,7 @@ def cmd_solve(args) -> int:
             log.append(i, np.nan, np.nan, np.nan, res, np.nan)
         converged = result.converged
         iterations = result.iterations
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     rep, verdict = weak_solution_report(sol, spec, tol=max(args.tol, 1e-10))
     manifest = {
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
 def _load_run(sol_dir: str):
     """The spec rebuilt from a run directory's manifest, and the solution stored beside it."""
     spec = build_spec(sio.read_manifest(sol_dir)["config"], base_dir=sol_dir)
-    sol = sio.read_solution(sol_dir, spec.grid)
+    sol = sio.read_solution(sol_dir, spec)
     if sol.P.shape[1] != spec.k:
         raise MissingArtifact(f"{os.path.join(sol_dir, 'P.csv')}: {sol.P.shape[1] + 1} columns, "
                               f"expected {spec.k + 1} for price_dim = {spec.k}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigParse
 from .grid import Grid
+from .io import read_rows
 from .model import ProblemSpec
 
 _KEYS = {
@@ -116,7 +117,7 @@ def _space_expression(key: str, text: str, grid: Grid, base_dir: str) -> np.ndar
 def _space_csv(path: str, grid: Grid) -> np.ndarray:
     if not os.path.exists(path):
         raise ConfigParse(f"no such CSV file: {path}")
-    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    data = read_rows(path, ConfigParse)
     if data.shape[0] != grid.n_space:
         raise ConfigParse(f"{path}: expected {grid.n_space} rows, found {data.shape[0]}")
     return data[:, -1].reshape(grid.space_shape)

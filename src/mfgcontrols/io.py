@@ -3,7 +3,9 @@
 Field files carry one row per grid node with explicit index columns and all
 floating-point values printed with 17 significant digits, which round-trips
 doubles exactly.  A solution directory holds u.csv, m.csv, w.csv, P.csv,
-gamma.csv, log.csv and manifest.json.
+log.csv and manifest.json.  The congestion multiplier is not stored: it is
+fixed by the coupling, gamma = f(m), so read_solution derives it from m the
+way the solvers do, and a gamma.csv in an older run directory is ignored.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import numpy as np
 
 from .errors import MissingArtifact
 from .grid import Grid
+from .model import ProblemSpec
 from .varsolve import ConvergenceLog, Solution
 
-FIELD_FILES = ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv")
+FIELD_FILES = ("u.csv", "m.csv", "w.csv", "P.csv")
 _AXES = ("x_index", "y_index")
 
 
@@ -60,15 +63,24 @@ def write_price_csv(path: str, grid: Grid, values: np.ndarray) -> None:
     _write(path, cols, _template(range(grid.nt + 1), values.shape[1]), values)
 
 
+def read_rows(path: str, error: type) -> np.ndarray:
+    """The rows below a CSV file's header line, read strictly into a 2-D float array.
+
+    A wrong column count or a non-numeric value raises error naming the file;
+    a header-only file gives zero rows, which the caller's row count reports.
+    """
+    try:
+        with warnings.catch_warnings():  # loadtxt warns on a header-only file
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise error(f"{path}: malformed row: {str(exc).split(';')[0]}") from None
+
+
 def _read_csv(path: str, n_rows: int) -> np.ndarray:
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact: {path}")
-    try:
-        with warnings.catch_warnings():  # a header-only file is reported by its row count below
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:  # a wrong column count or a non-numeric value
-        raise MissingArtifact(f"{path}: malformed row: {str(exc).split(';')[0]}") from None
+    data = read_rows(path, MissingArtifact)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise MissingArtifact(f"{path}: malformed row: non-finite value on line {bad[0] + 2}")
@@ -96,14 +108,13 @@ def write_log_csv(path: str, log: ConvergenceLog) -> None:
 
 
 def write_solution(out_dir: str, sol: Solution, log: ConvergenceLog | None = None, manifest: dict | None = None) -> list:
-    """Write all solution artifacts; returns the artifact file list."""
+    """Write u, m, w, P (and the log and manifest, if given); returns the artifact file list."""
     os.makedirs(out_dir, exist_ok=True)
     g = sol.grid
     write_scalar_csv(os.path.join(out_dir, "u.csv"), g, sol.u)
     write_scalar_csv(os.path.join(out_dir, "m.csv"), g, sol.m)
     write_vector_csv(os.path.join(out_dir, "w.csv"), g, sol.w)
     write_price_csv(os.path.join(out_dir, "P.csv"), g, sol.P)
-    write_scalar_csv(os.path.join(out_dir, "gamma.csv"), g, sol.gamma)
     artifacts = list(FIELD_FILES)
     if log is not None:
         write_log_csv(os.path.join(out_dir, "log.csv"), log)
@@ -133,11 +144,11 @@ def read_manifest(sol_dir: str) -> dict:
     return manifest
 
 
-def read_solution(sol_dir: str, grid: Grid) -> Solution:
-    """Load a solution directory written by write_solution."""
+def read_solution(sol_dir: str, spec: ProblemSpec) -> Solution:
+    """Load a solution directory written by write_solution; gamma = f(m) as the solvers set it."""
+    grid = spec.grid
     u = read_scalar_csv(os.path.join(sol_dir, "u.csv"), grid)
     m = read_scalar_csv(os.path.join(sol_dir, "m.csv"), grid)
     w = read_vector_csv(os.path.join(sol_dir, "w.csv"), grid)
     P = read_price_csv(os.path.join(sol_dir, "P.csv"), grid)
-    gamma = read_scalar_csv(os.path.join(sol_dir, "gamma.csv"), grid)
-    return Solution(grid=grid, u=u, m=m, w=w, P=P, gamma=gamma)
+    return Solution(grid=grid, u=u, m=m, w=w, P=P, gamma=spec.coupling_f(np.maximum(m, 0.0)))

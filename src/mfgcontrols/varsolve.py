@@ -94,7 +94,9 @@ class Solution:
 
     u, m, gamma: (nt+1, *space); w: (nt+1, d, *space); P: (nt+1, k).
     Slice 0 of w is identically zero (no interval ends at t = 0) and slice
-    nt of u equals the terminal cost.
+    nt of u equals the terminal cost.  gamma is the congestion multiplier
+    f(max(m, 0)); every solver sets it so, and a run directory does not
+    store it: io.read_solution derives it from m.
     """
 
     grid: Grid

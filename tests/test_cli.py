@@ -9,6 +9,8 @@ from mfgcontrols.cli import main
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 UNIFORM_CFG = os.path.join(CONFIG_DIR, "uniform.cfg")
 BUMP_CFG = os.path.join(CONFIG_DIR, "bump.cfg")
+# what solve writes into a run directory; gamma = f(m) is derived when it is read
+RUN_FILES = ["P.csv", "log.csv", "m.csv", "manifest.json", "u.csv", "w.csv"]
 
 
 def write_cfg(path, **overrides):
@@ -67,8 +69,8 @@ def test_solve_verify_roundtrip(tmp_path, capsys):
     assert manifest["case_info"]["case_label"] == "2B"
     assert abs(manifest["residual_report"]["duality_gap"]) <= 1e-4
     assert payload["verdict"] == manifest["verdict"]
-    for name in ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv", "log.csv"):
-        assert (out / name).exists()
+    assert sorted(os.listdir(out)) == RUN_FILES
+    assert not (out / "gamma.csv").exists()
 
     assert main(["verify", "--solution", str(out), "--tol", "1e-3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -164,8 +166,21 @@ def test_solve_reproducible_byte_identical(tmp_path, capsys):
     assert main(["solve", UNIFORM_CFG, "--out", str(out1), "--tol", "1e-6"]) == 0
     assert main(["solve", UNIFORM_CFG, "--out", str(out2), "--tol", "1e-6"]) == 0
     capsys.readouterr()
-    for name in ("u.csv", "m.csv", "w.csv", "P.csv", "gamma.csv", "log.csv"):
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2)) == RUN_FILES
+    assert not (out1 / "gamma.csv").exists()
+    for name in ("u.csv", "m.csv", "w.csv", "P.csv", "log.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_verify_ignores_stale_gamma_csv(uniform_run, capsys):
+    # a gamma.csv left by an older writer is not read: gamma = f(m) is derived from m.csv
+    assert main(["verify", "--solution", str(uniform_run)]) == 0
+    clean = capsys.readouterr().out
+    lines = (uniform_run / "m.csv").read_text().splitlines()
+    tampered = [lines[0]] + [row.rsplit(",", 1)[0] + ",7.0" for row in lines[1:]]
+    (uniform_run / "gamma.csv").write_text("\n".join(tampered) + "\n")
+    assert main(["verify", "--solution", str(uniform_run)]) == 0
+    assert capsys.readouterr().out == clean
 
 
 def test_probe_uniqueness_cli(tmp_path, capsys):
@@ -185,7 +200,7 @@ def test_csv_roundtrip_exact(tmp_path):
     spec = load_spec(UNIFORM_CFG)
     sol, log = solve_primal_dual(spec, SolverOptions(max_iter=3000, tol_gap=1e-4))
     sio.write_solution(str(tmp_path), sol, log=log)
-    back = sio.read_solution(str(tmp_path), spec.grid)
+    back = sio.read_solution(str(tmp_path), spec)
     assert np.array_equal(back.u, sol.u)
     assert np.array_equal(back.m, sol.m)
     assert np.array_equal(back.w, sol.w)
@@ -208,7 +223,7 @@ def test_csv_roundtrip_exact_2d(tmp_path):
                    P=rng.standard_normal((g.nt + 1, 2)),
                    gamma=spec.coupling_f(m))
     sio.write_solution(str(tmp_path), sol)
-    back = sio.read_solution(str(tmp_path), g)
+    back = sio.read_solution(str(tmp_path), spec)
     for name in ("u", "m", "w", "P", "gamma"):
         assert np.array_equal(getattr(back, name), getattr(sol, name)), name
 
@@ -312,6 +327,21 @@ def test_csv_backed_run_verifies_on_its_own(tmp_path, capsys):
     os.remove(tmp_path / "data" / "m0.csv")
     capsys.readouterr()
     assert main(["verify", "--solution", str(out)]) == 0
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize("body", ["0,1\n1,1,3\n2,1\n3,1\n", "", "0,1\n1,abc\n2,1\n3,1\n"],
+                         ids=["ragged", "header_only", "non_numeric"])
+def test_malformed_coefficient_csv_exits_1(tmp_path, capsys, command, body):
+    (tmp_path / "theta.csv").write_text("x_index,value\n" + body)
+    cfg = write_cfg(tmp_path / "c.cfg", nx=4, nt=4, theta="theta.csv")
+    out = tmp_path / "run"
+    argv = [command, cfg] + (["--out", str(out)] if command == "solve" else [])
+    assert main(argv) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: ") and "theta.csv" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["m.csv", "../theta.csv"])
