@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import (
     CFLViolation,
     ConfigParse,
-    DeltaNotOnGrid,
     Diverged,
     HypothesisViolation,
     InvalidOption,
@@ -22,12 +21,10 @@ from .errors import (
     NegativeDensity,
     NoConvergence,
     NotPSD,
-    PerspectiveViolation,
-    ShiftTooLarge,
 )
 from .grid import Grid
 from .model import CaseInfo, ProblemSpec, check_assumptions, classify_exponents
-from .prox import prox_F, prox_kinetic, prox_kinetic_congestion, prox_Phi_star
+from .prox import prox_F, prox_kinetic_congestion, prox_Phi_star
 from .varsolve import ConvergenceLog, Solution, SolverOptions, eval_B, eval_D, solve_primal_dual
 from .picard import PicardOptions, PicardResult, feedback, picard_iterate, solve_fp, solve_hjb, update_price
 from .verify import ResidualReport, complementarity_value, uniqueness_probe, weak_solution_report

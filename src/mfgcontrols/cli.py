@@ -80,8 +80,7 @@ def cmd_solve(args) -> int:
         converged = log.converged
         iterations = log.iterations
     else:
-        opts = PicardOptions(damping=args.damping, max_outer=args.max_iter,
-                             tol_fixed_point=args.tol)
+        opts = PicardOptions(max_outer=args.max_iter, tol_fixed_point=args.tol)
         result = picard_iterate(spec, opts)
         sol = result.solution
         # same log layout as the saddle-point run; only the fixed-point
@@ -120,11 +119,7 @@ def cmd_solve(args) -> int:
 def _load_run(sol_dir: str):
     """The spec rebuilt from a run directory's manifest, and the solution stored beside it."""
     spec = build_spec(sio.read_manifest(sol_dir)["config"], base_dir=sol_dir)
-    sol = sio.read_solution(sol_dir, spec)
-    if sol.P.shape[1] != spec.k:
-        raise MissingArtifact(f"{os.path.join(sol_dir, 'P.csv')}: {sol.P.shape[1] + 1} columns, "
-                              f"expected {spec.k + 1} for price_dim = {spec.k}")
-    return spec, sol
+    return spec, sio.read_solution(sol_dir, spec)
 
 
 def cmd_verify(args) -> int:
@@ -159,9 +154,7 @@ def cmd_probe(args) -> int:
     classify_exponents(spec)  # raises HypothesisViolation naming the first failure
     opts = SolverOptions(max_iter=args.max_iter, tol_gap=args.tol)
     probe = uniqueness_probe(spec, opts, n_inits=args.n_inits, seed=args.seed)
-    print(json.dumps({"m_distance": probe.m_distance, "P_distance": probe.P_distance,
-                      "u_distance_on_support": probe.u_distance_on_support,
-                      "gaps": probe.gaps}, indent=2))
+    print(json.dumps(asdict(probe), indent=2))
     return EXIT_OK
 
 
@@ -179,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=SolverOptions.tol_gap)
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter, dest="max_iter")
-    p.add_argument("--damping", type=float, default=PicardOptions.damping)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="residual report and verdict for a solution directory")

@@ -115,12 +115,7 @@ def _space_expression(key: str, text: str, grid: Grid, base_dir: str) -> np.ndar
 
 
 def _space_csv(path: str, grid: Grid) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigParse(f"no such CSV file: {path}")
-    data = read_rows(path, ConfigParse)
-    if data.shape[0] != grid.n_space:
-        raise ConfigParse(f"{path}: expected {grid.n_space} rows, found {data.shape[0]}")
-    return data[:, -1].reshape(grid.space_shape)
+    return read_rows(path, ConfigParse, grid.n_space)[:, -1].reshape(grid.space_shape)
 
 
 def _coefficient(key: str, text: str, grid: Grid, base_dir: str):

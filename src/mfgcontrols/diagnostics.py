@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DeltaNotOnGrid, InvalidOption, ShiftTooLarge
+from .errors import InvalidOption
 from .grid import grad_values, integrate_space_values, shift
 from .model import ProblemSpec, power_gradient
 from .varsolve import Solution
@@ -44,11 +44,6 @@ class RegularityRecord:
 def j1(xi, spec: ProblemSpec, axis=-1):
     """|xi|^(r/2-1) xi on the component axis, vanishing at the origin."""
     return power_gradient(xi, 1.0, spec.r / 2.0 + 1.0, axis)
-
-
-def j2(zeta, spec: ProblemSpec):
-    """|zeta|^(r'/2-1) zeta on the last axis."""
-    return power_gradient(zeta, 1.0, spec.r_prime / 2.0 + 1.0)
 
 
 def _integrate_Q_values(grid, values) -> float:
@@ -134,7 +129,7 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
     if np.any(spec.A != 0.0):
         raise InvalidOption("time diagnostics require zero diffusion (A = 0)")
     if abs(eps) >= g.T / 4.0:
-        raise ShiftTooLarge(f"|eps| must be below T/4 = {g.T / 4.0}")
+        raise InvalidOption(f"|eps| must be below T/4 = {g.T / 4.0}")
     if eps == 0.0:
         return 0.0
     t = g.times()
@@ -173,7 +168,7 @@ def space_shift_sum(sol: Solution, spec: ProblemSpec, delta: float) -> float:
     ratio = delta / g.hx
     nodes = int(round(ratio))
     if abs(ratio - nodes) > 1e-9:
-        raise DeltaNotOnGrid(f"delta = {delta} is not a multiple of hx = {g.hx}")
+        raise InvalidOption(f"delta = {delta} is not a multiple of hx = {g.hx}")
     if nodes == 0:
         return 0.0
     xi = grad_values(g, sol.u) + spec.phi_transpose_price(sol.P)

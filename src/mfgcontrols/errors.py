@@ -40,18 +40,6 @@ class CFLViolation(MFGError):
         self.admissible_ht = admissible_ht
 
 
-class PerspectiveViolation(MFGError):
-    """Momentum does not vanish on the set where the density vanishes."""
-
-
-class ShiftTooLarge(MFGError):
-    """Time-shift parameter outside the admissible range."""
-
-
-class DeltaNotOnGrid(MFGError):
-    """Space shift is not an integer multiple of the mesh width."""
-
-
 class MissingArtifact(MFGError):
     """A solution directory lacks one of the required files."""
 

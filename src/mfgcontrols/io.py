@@ -63,43 +63,47 @@ def write_price_csv(path: str, grid: Grid, values: np.ndarray) -> None:
     _write(path, cols, _template(range(grid.nt + 1), values.shape[1]), values)
 
 
-def read_rows(path: str, error: type) -> np.ndarray:
-    """The rows below a CSV file's header line, read strictly into a 2-D float array.
+def read_rows(path: str, error: type, n_rows: int, n_cols: int | None = None) -> np.ndarray:
+    """The n_rows rows below a CSV file's header line, read strictly into a 2-D float array.
 
-    A wrong column count or a non-numeric value raises error naming the file;
-    a header-only file gives zero rows, which the caller's row count reports.
+    A missing file, a row count other than n_rows, and a row that is ragged,
+    holds a non-numeric or non-finite value or (if given) has other than
+    n_cols columns raise error naming the file; a bad row is named by its
+    1-based file line, the header being line 1.
     """
+    if not os.path.exists(path):
+        raise error(f"no such file: {path}")
     try:
         with warnings.catch_warnings():  # loadtxt warns on a header-only file
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise error(f"{path}: malformed row: {str(exc).split(';')[0]}") from None
-
-
-def _read_csv(path: str, n_rows: int) -> np.ndarray:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"missing artifact: {path}")
-    data = read_rows(path, MissingArtifact)
-    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
-    if bad.size:
-        raise MissingArtifact(f"{path}: malformed row: non-finite value on line {bad[0] + 2}")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all() or (data.size and n_cols not in (None, data.shape[1])):
+        raise error(f"{path}: malformed row: {_bad_line(path, n_cols)}")
     if data.shape[0] != n_rows:
-        raise MissingArtifact(f"{path}: wrong row count {data.shape[0]}")
+        raise error(f"{path}: expected {n_rows} rows, found {data.shape[0]}")
     return data
 
 
-def read_scalar_csv(path: str, grid: Grid) -> np.ndarray:
-    return _read_csv(path, (grid.nt + 1) * grid.n_space)[:, -1].reshape(grid.scalar_shape)
-
-
-def read_vector_csv(path: str, grid: Grid) -> np.ndarray:
-    vals = _read_csv(path, (grid.nt + 1) * grid.n_space)[:, -grid.d :]
-    return vals.reshape(grid.nt + 1, grid.n_space, grid.d).transpose(0, 2, 1).reshape(grid.vector_shape)
-
-
-def read_price_csv(path: str, grid: Grid) -> np.ndarray:
-    return _read_csv(path, grid.nt + 1)[:, 1:]
+def _bad_line(path: str, n_cols: int | None) -> str:
+    """The first line of a file that read_rows refused and why, found by a rescan off the fast path."""
+    with open(path, errors="replace") as fh:
+        lines = fh.read().splitlines()
+    for num, line in enumerate(lines[1:], start=2):
+        text = line.split("#", 1)[0]  # loadtxt's comment convention; it skips blank lines
+        if not text.strip():
+            continue
+        fields = text.split(",")
+        n_cols = n_cols or len(fields)  # without n_cols, the first row sets the width
+        if len(fields) != n_cols:
+            return f"line {num} has {len(fields)} columns, expected {n_cols}"
+        try:
+            if not all(np.isfinite([float(v) for v in fields])):
+                return f"line {num} has a non-finite value"
+        except ValueError:
+            return f"line {num} has a non-numeric value"
+    return "unreadable"
 
 
 def write_log_csv(path: str, log: ConvergenceLog) -> None:
@@ -145,10 +149,19 @@ def read_manifest(sol_dir: str) -> dict:
 
 
 def read_solution(sol_dir: str, spec: ProblemSpec) -> Solution:
-    """Load a solution directory written by write_solution; gamma = f(m) as the solvers set it."""
-    grid = spec.grid
-    u = read_scalar_csv(os.path.join(sol_dir, "u.csv"), grid)
-    m = read_scalar_csv(os.path.join(sol_dir, "m.csv"), grid)
-    w = read_vector_csv(os.path.join(sol_dir, "w.csv"), grid)
-    P = read_price_csv(os.path.join(sol_dir, "P.csv"), grid)
-    return Solution(grid=grid, u=u, m=m, w=w, P=P, gamma=spec.coupling_f(np.maximum(m, 0.0)))
+    """Load a solution directory written by write_solution; gamma = f(m) as the solvers set it.
+
+    Each field file must have its full shape: a row per node (per time node
+    for P.csv) and the index columns plus 1 (u, m), d (w) or k (P) values.
+    """
+    g, d = spec.grid, spec.grid.d
+    nodes = (g.nt + 1) * g.n_space
+
+    def read(name, n_rows, n_cols):
+        return read_rows(os.path.join(sol_dir, name), MissingArtifact, n_rows, n_cols)
+
+    u = read("u.csv", nodes, d + 2)[:, -1].reshape(g.scalar_shape)
+    m = read("m.csv", nodes, d + 2)[:, -1].reshape(g.scalar_shape)
+    w = read("w.csv", nodes, 1 + 2 * d)[:, -d:].reshape(g.nt + 1, g.n_space, d).transpose(0, 2, 1)
+    P = read("P.csv", g.nt + 1, 1 + spec.k)[:, 1:]
+    return Solution(grid=g, u=u, m=m, w=w.reshape(g.vector_shape), P=P, gamma=spec.coupling_f(np.maximum(m, 0.0)))

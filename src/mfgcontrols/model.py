@@ -93,14 +93,14 @@ def case_2b_condition(s_prime: float, p: float, d: int) -> bool:
     return s_prime * (1.0 + d) / (d - s_prime + 1.0) > p
 
 
-def search_rtilde_2b(s_prime, p, r, d, resolution=RTILDE_RESOLUTION):
+def search_rtilde_2b(s_prime, p, r, d):
     """Scan (1, r] for the exponent maximizing kappa_bar(rt, min(p, s'/rt)).
 
     Returns (r_tilde, kappa, eta) or None when no admissible exponent
     reaches kappa >= p.  s_prime may be inf (price-free mode).
     """
-    n = max(2, int(round((r - 1.0) / resolution)))
-    grid = np.linspace(1.0 + resolution, r, n)
+    n = max(2, int(round((r - 1.0) / RTILDE_RESOLUTION)))
+    grid = np.linspace(1.0 + RTILDE_RESOLUTION, r, n)
     if grid[-1] != r:
         grid = np.append(grid, r)
     p_t = np.minimum(p, np.divide(s_prime, grid)) if np.isfinite(s_prime) else np.full_like(grid, p)
@@ -277,7 +277,7 @@ class ProblemSpec:
         """Gradient of H in xi: c(x) |xi|^(r-2) xi, zero at the origin."""
         return power_gradient(xi, self.c, self.r, self._component_axis(xi))
 
-    # -- price family Phi, Phi*, Psi, Psi^-1 (k components on the last axis)
+    # -- price family Phi, Phi*, Psi (k components on the last axis)
 
     def Phi(self, z):
         if self.price_free:
@@ -295,11 +295,6 @@ class ProblemSpec:
         if self.price_free:
             return np.zeros_like(np.asarray(z, dtype=float))
         return power_gradient(z, self.kappa_phi, self.s)
-
-    def Psi_inv(self, P):
-        if self.price_free:
-            raise ValueError("Psi is not invertible in price-free mode")
-        return power_gradient(P, power_conjugate_coeff(self.kappa_phi, self.s), self.s_prime)
 
     def phi_transpose_price(self, P):
         """Field phi(x)^T P_t for a price path (nt', k) -> (nt', d, *space)."""

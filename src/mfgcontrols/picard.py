@@ -22,9 +22,9 @@ for the whole path before the passes start.  Each pass keeps its field in
 one ghost-padded buffer of shape (nx+2)^d, built once per call: a substep
 copies the periodic ghosts in place, reads its one-sided differences or
 flux faces through views made once per call, and writes every temporary
-into a preallocated buffer.  Feedback slices its differences from one
-periodic wrap of the whole path (``take`` with the index
-[n-1, 0, ..., n-1, 0]).  The diffusion matrix A is validated once per spec
+into a preallocated buffer.  Feedback takes the forward differences of the
+whole path from ``grad_values`` and the backward ones as their shift by
+one node.  The diffusion matrix A is validated once per spec
 (``ProblemSpec.A_psd``), and the diffusion stencil and its CFL term are
 formed only when A != 0.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLViolation, InvalidOption, NegativeDensity
-from .grid import diffusion_values
+from .grid import diffusion_values, grad_values, shift
 from .model import ProblemSpec
 from .varsolve import Solution
 
@@ -83,23 +83,10 @@ class PicardResult:
     residuals: list
 
 
-def _wrap_index(n: int) -> np.ndarray:
-    """Take-index [n-1, 0, 1, ..., n-1, 0]: an axis with one periodic ghost node at each end."""
-    return np.arange(-1, n + 1) % n
-
-
 def _ends(ax: int) -> tuple:
     """Index tuples dropping the last and the first entry of axis ax."""
     lead = (slice(None),) * ax
     return lead + (slice(None, -1),), lead + (slice(1, None),)
-
-
-def _slopes(u: np.ndarray, ax: int, idx: np.ndarray, hx: float):
-    """(D^- u, D^+ u) along axis ax, both sliced from one periodic wrap of u."""
-    lo, hi = _ends(ax)
-    ext = u.take(idx, axis=ax)
-    diff = (ext[hi] - ext[lo]) / hx  # entry k is D^- u at node k, i.e. D^+ u at node k - 1
-    return diff[lo], diff[hi]
 
 
 def _axis_window(pad: np.ndarray, ax: int, start: int, stop: int) -> np.ndarray:
@@ -234,15 +221,13 @@ def feedback(u: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     the signed vector of the one-sided slopes the value sweep selects.
     """
     g = spec.grid
-    g_shift = spec.phi_transpose_price(P)
     lead = u.ndim - g.d
-    comp = (slice(None),) * lead
-    idx = _wrap_index(g.nx)
-    xi = np.empty(g_shift.shape)
+    forward = grad_values(g, u)  # D^+_i u on component i; D^-_i u at node k is D^+_i u at node k - 1
+    xi = spec.phi_transpose_price(P)
     for i in range(g.d):
-        dm, dp = _slopes(u, lead + i, idx, g.hx)
-        gi = g_shift[comp + (i,)]
-        xi[comp + (i,)] = np.maximum(dm + gi, 0.0) + np.minimum(dp + gi, 0.0)
+        comp = (slice(None),) * lead + (i,)
+        dp, gi = forward[comp], xi[comp]
+        xi[comp] = np.maximum(shift(dp, 1, lead + i) + gi, 0.0) + np.minimum(dp + gi, 0.0)
     return -spec.dH(xi)
 
 
@@ -272,7 +257,7 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     if refused.size:
         raise _refuse("transport", float(rates[refused[0]]), refused[0] + 1)
     steps = ht / n_subs
-    idx = _wrap_index(n)
+    idx = np.arange(-1, n + 1) % n  # [n-1, 0, 1, ..., n-1, 0]: one periodic ghost node at each end
     v_plus, v_minus = [], []
     for i in range(d):
         lo, hi = _ends(1 + i)

@@ -1,11 +1,10 @@
 """Pointwise proximal kernels for the saddle-point solver.
 
-Three pure kernels are exposed: the congestion prox (``prox_F``), the prox
-of the perspective kinetic cost (``prox_kinetic``) and the radial prox of
-the conjugate price potential (``prox_Phi_star``).  The solver itself uses
-``prox_kinetic_congestion``, the exact prox of the *sum* of the kinetic and
-congestion costs; the two pure kernels are its special cases (theta = 0,
-respectively no kinetic term).
+The solver uses ``prox_kinetic_congestion``, the exact prox of the *sum*
+of the perspective kinetic and congestion costs (theta = 0 leaves the
+kinetic prox alone), and the radial prox of the conjugate price potential
+(``prox_Phi_star``).  The congestion prox ``prox_F`` is the joint prox
+without the kinetic term.
 
 All kernels are vectorized over arbitrary array shapes and are closed forms
 or Newton iterations that stop once the residuals are below NEWTON_TOL
@@ -255,11 +254,6 @@ def _newton_quadratic(mbar, w2, tau, c, theta):
     return m
 
 
-def prox_kinetic(mbar, wbar, tau, c, r):
-    """Prox of the pure perspective kinetic cost tau * m H*(x, -w/m)."""
-    return prox_kinetic_congestion(mbar, wbar, tau, c, r, 0.0, 2.0)
-
-
 def kinetic_kkt_residual(m, w, mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     """Stationarity residual of the (joint) kinetic prox at an interior point.
 
@@ -268,8 +262,9 @@ def kinetic_kkt_residual(m, w, mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     """
     m = np.asarray(m, dtype=float)
     w = np.asarray(w, dtype=float)
-    wnorm = np.sqrt(np.sum(np.asarray(wbar, float) ** 2, axis=0))
-    rho = np.sqrt(np.sum(w * w, axis=0))
+    # hypot: a norm that neither underflows nor overflows (|w| near 1e-300 squares to 0)
+    wnorm = np.hypot.reduce(np.asarray(wbar, float), axis=0, initial=0.0)
+    rho = np.hypot.reduce(w, axis=0, initial=0.0)
     r_prime = r / (r - 1.0)
     cp = np.asarray(c, float) ** (1.0 - r_prime)
     m_pos = np.where(m > 0.0, m, 1.0)

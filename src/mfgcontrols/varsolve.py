@@ -256,10 +256,6 @@ def _adjoint_m(spec, u):
     return gm
 
 
-def _adjoint_w(spec, u):
-    return -grad_values(spec.grid, u)
-
-
 def _transport_step(spec: ProblemSpec, scale: float):
     """The map R -> scale (K K^T)^-1 R, K the linear part of ``_constraint``.
 
@@ -336,16 +332,6 @@ def _finalize(spec, m, w, u, p) -> Solution:
     return Solution(grid=g, u=u_full, m=m_full, w=w_full, P=P_full, gamma=gamma)
 
 
-def default_init(spec: ProblemSpec):
-    """Deterministic start: stationary density, zero momentum and duals."""
-    g = spec.grid
-    m = np.broadcast_to(spec.m0, (g.nt, *g.space_shape)).copy()
-    w = np.zeros((g.nt, g.d, *g.space_shape))
-    u = np.zeros((g.nt, *g.space_shape))
-    p = np.zeros((g.nt, spec.k))
-    return m, w, u, p
-
-
 def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init: Solution | None = None):
     """Run the saddle-point iteration; returns (Solution, ConvergenceLog).
 
@@ -368,8 +354,10 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     u_step = _transport_step(spec, OMEGA)
     alpha = ADAPT0
 
-    if init is None:
-        m, w, u, p = default_init(spec)
+    if init is None:  # stationary density, zero momentum and duals
+        m = np.broadcast_to(spec.m0, (g.nt, *g.space_shape)).copy()
+        w = np.zeros((g.nt, g.d, *g.space_shape))
+        u, p = np.zeros((g.nt, *g.space_shape)), np.zeros((g.nt, spec.k))
     else:
         m, w = init.m[1:].copy(), init.w[1:].copy()
         u, p = init.u[: g.nt].copy(), init.P[: g.nt].copy()

@@ -15,7 +15,7 @@ from mfgcontrols.grid import Grid, div_values, grad_values, inner_Q
 from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec, case_2b_condition, kappa_bar
 from mfgcontrols.picard import solve_fp
-from mfgcontrols.prox import kinetic_kkt_residual, prox_F, prox_Phi_star, prox_kinetic
+from mfgcontrols.prox import kinetic_kkt_residual, prox_F, prox_Phi_star, prox_kinetic_congestion
 from mfgcontrols.varsolve import SolverOptions, solve_primal_dual
 from mfgcontrols.verify import random_feasible_init, uniqueness_probe, weak_solution_report
 from oracle import brute_prox_F, brute_prox_kinetic, brute_prox_phi_star, equilibrium_oracle
@@ -183,7 +183,7 @@ def test_criterion_8_prox_kernels_against_brute_force():
         tau = float(rng.uniform(0.1, 1.5))
         c = float(rng.uniform(0.4, 2.5))
         r = float(rng.uniform(1.3, 3.5))
-        m, w = prox_kinetic(np.array(mbar), np.array([wbar]), tau, c, r)
+        m, w = prox_kinetic_congestion(np.array(mbar), np.array([wbar]), tau, c, r)
         mb, wb = brute_prox_kinetic(mbar, wbar, tau, c, r)
         worst_k = max(worst_k, abs(float(m) - mb), abs(float(w[0]) - wb))
         kkt = kinetic_kkt_residual(m, w, np.array(mbar), np.array([wbar]), tau, c, r)

@@ -235,8 +235,6 @@ def _one_line_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--method", "picard", "--damping", "2"],
-    ["--method", "picard", "--damping", "0"],
     ["--method", "picard", "--max-iter", "0"],
     ["--max-iter", "0"],
     ["--tol=-1e-3"],
@@ -462,3 +460,42 @@ def test_price_column_count_exits_1(uniform_run, capsys, command, extra):
     assert main([command, "--solution", str(uniform_run)]) == 1
     err = _one_line_error(capsys)
     assert err.startswith("input error: ") and "P.csv" in err
+
+
+@pytest.mark.parametrize("name", ["u.csv", "P.csv"])
+def test_field_csv_extra_column_exits_1(uniform_run, capsys, name):
+    # a duplicated value column is refused, not read past
+    path = uniform_run / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line + "," + line.rsplit(",", 1)[1] for line in lines) + "\n")
+    assert main(["verify", "--solution", str(uniform_run), "--tol", "1e-3"]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("input error: ") and name in err
+
+
+def _spoil_line_3(path, case):
+    """Line 3 of a CSV file (the header is line 1) made ragged, non-numeric or NaN."""
+    lines = path.read_text().splitlines()
+    head = lines[2] if case == "ragged" else lines[2].rsplit(",", 1)[0]
+    lines[2] = head + {"ragged": ",3", "non_numeric": ",abc", "nan": ",nan"}[case]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("case", ["ragged", "non_numeric", "nan"])
+def test_malformed_csv_names_its_file_line(tmp_path, capsys, command, case):
+    # a config CSV and a run-directory file number a bad row by the same file line
+    if command == "classify":
+        _write_node_csv(tmp_path / "theta.csv", np.ones(4))
+        path = tmp_path / "theta.csv"
+        argv = ["classify", write_cfg(tmp_path / "c.cfg", nx=4, nt=4, theta="theta.csv")]
+    else:
+        out = tmp_path / "run"
+        assert main(["solve", write_cfg(tmp_path / "c.cfg"), "--out", str(out), "--tol", "1e-3"]) == 0
+        capsys.readouterr()
+        path, argv = out / "u.csv", ["verify", "--solution", str(out)]
+    _spoil_line_3(path, case)
+    assert main(argv) == 1
+    err = _one_line_error(capsys)
+    assert path.name in err and "line 3" in err

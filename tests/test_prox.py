@@ -10,7 +10,6 @@ from mfgcontrols.prox import (
     prox_F,
     prox_Phi,
     prox_Phi_star,
-    prox_kinetic,
     prox_kinetic_congestion,
     power_prox,
 )
@@ -73,21 +72,21 @@ def test_prox_phi_star_price_free():
 
 def test_prox_kinetic_stationary_point():
     for r in (1.5, 2.0, 3.0):
-        m, w = prox_kinetic(np.array(1.0), np.array([0.0]), 0.7, 1.3, r)
+        m, w = prox_kinetic_congestion(np.array(1.0), np.array([0.0]), 0.7, 1.3, r)
         assert m == pytest.approx(1.0)
         assert w[0] == 0.0
 
 
 def test_prox_kinetic_apex():
-    m, w = prox_kinetic(np.array(-1.0), np.array([0.0]), 1.0, 1.0, 2.0)
+    m, w = prox_kinetic_congestion(np.array(-1.0), np.array([0.0]), 1.0, 1.0, 2.0)
     assert m == 0.0 and w[0] == 0.0
     # infeasible density with momentum still collapses when the pull is weak
-    m, w = prox_kinetic(np.array(-2.0), np.array([0.5]), 1.0, 1.0, 2.0)
+    m, w = prox_kinetic_congestion(np.array(-2.0), np.array([0.5]), 1.0, 1.0, 2.0)
     assert m == 0.0 and w[0] == 0.0
 
 
 def test_prox_kinetic_brute_force_r2():
-    m, w = prox_kinetic(np.array(1.0), np.array([1.0]), 1.0, 1.0, 2.0)
+    m, w = prox_kinetic_congestion(np.array(1.0), np.array([1.0]), 1.0, 1.0, 2.0)
     mb, wb = brute_prox_kinetic(1.0, 1.0, 1.0, 1.0, 2.0)
     assert m == pytest.approx(mb, abs=1e-3)
     assert w[0] == pytest.approx(wb, abs=1e-3)
@@ -204,6 +203,6 @@ def test_prox_raises_on_bad_tau():
     with pytest.raises(ValueError):
         prox_F(np.array(1.0), 0.0, 1.0, 2.0)
     with pytest.raises(ValueError):
-        prox_kinetic(np.array(1.0), np.array([0.0]), -1.0, 1.0, 2.0)
+        prox_kinetic_congestion(np.array(1.0), np.array([0.0]), -1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         prox_Phi_star(np.array([1.0]), 0.0, 1.0, 2.0)

@@ -15,7 +15,6 @@ from mfgcontrols.varsolve import (
     OMEGA,
     SolverOptions,
     _adjoint_m,
-    _adjoint_w,
     _constraint,
     _transport_step,
     dual_gamma,
@@ -115,14 +114,14 @@ def test_fp_constraint_linearity_in_divergence(spec8):
 
 
 def _check_constraint_adjoint(spec, seed):
-    # <_constraint(m, w, 0), U> = <_adjoint_m(U), m> + <_adjoint_w(U), w> on interval variables
+    # <_constraint(m, w, 0), U> = <_adjoint_m(U), m> - <grad U, w> on interval variables
     g = spec.grid
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((g.nt, *g.space_shape))
     w = rng.standard_normal((g.nt, g.d, *g.space_shape))
     U = rng.standard_normal((g.nt, *g.space_shape))
     lhs = float(np.sum(_constraint(spec, m, w, 0.0) * U))
-    rhs = float(np.sum(_adjoint_m(spec, U) * m) + np.sum(_adjoint_w(spec, U) * w))
+    rhs = float(np.sum(_adjoint_m(spec, U) * m) + np.sum(-grad_values(spec.grid, U) * w))
     scale = np.linalg.norm(U) * (np.linalg.norm(m) + np.linalg.norm(w))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -214,7 +213,7 @@ def test_transport_step_inverts_kkt(case):
     # correction at A != 0), so step(K K^T v) = v
     spec, v = case
     step = _transport_step(spec, 1.0)
-    kkt_v = _constraint(spec, _adjoint_m(spec, v), _adjoint_w(spec, v), 0.0)
+    kkt_v = _constraint(spec, _adjoint_m(spec, v), -grad_values(spec.grid, v), 0.0)
     assert np.max(np.abs(step(kkt_v) - v)) <= 1e-12 * np.max(np.abs(v))
 
 

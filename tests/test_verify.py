@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgcontrols.errors import NotPSD, PerspectiveViolation
+from mfgcontrols.errors import NotPSD
 from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
@@ -73,8 +73,7 @@ def test_complementarity_perspective_violation(uni8):
     m[2, 3] = 0.0
     w[2, 0, 3] = 0.7
     bad = Solution(grid=uni8.grid, u=sol.u, m=m, w=w, P=sol.P, gamma=sol.gamma)
-    with pytest.raises(PerspectiveViolation):
-        complementarity_value(bad, uni8)
+    assert complementarity_value(bad, uni8) == np.inf
 
 
 def test_report_exact_uniform_verdict(uni8):
