@@ -25,9 +25,9 @@ from .errors import (
 from .grid import Grid
 from .model import CaseInfo, ProblemSpec, check_assumptions, classify_exponents
 from .prox import prox_F, prox_kinetic_congestion, prox_Phi_star
-from .varsolve import ConvergenceLog, Solution, SolverOptions, eval_B, eval_D, solve_primal_dual
+from .verify import ResidualReport, Solution, complementarity_value, eval_B, eval_D, weak_solution_report
+from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual, uniqueness_probe
 from .picard import PicardOptions, PicardResult, feedback, picard_iterate, solve_fp, solve_hjb, update_price
-from .verify import ResidualReport, complementarity_value, uniqueness_probe, weak_solution_report
 from .diagnostics import RegularityRecord, diagnose, space_regularity, space_shift_sum, time_shift_sum
 from .config import load_spec
 from .instances import bump_instance, uniform_instance

@@ -23,8 +23,8 @@ from .errors import (CFLViolation, ConfigParse, Diverged, HypothesisViolation, I
                      MissingArtifact, NoConvergence)
 from .model import check_assumptions, classify_exponents
 from .picard import PicardOptions, picard_iterate
-from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual
-from .verify import uniqueness_probe, weak_solution_report
+from .varsolve import ConvergenceLog, SolverOptions, solve_primal_dual, uniqueness_probe
+from .verify import weak_solution_report
 from . import io as sio
 
 EXIT_OK = 0
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MissingArtifact as exc:
+    except (MissingArtifact, OSError) as exc:  # OSError: a path that is a directory, an --out that is a file
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HypothesisViolation as exc:

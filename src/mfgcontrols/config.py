@@ -38,20 +38,24 @@ def parse_config(path: str) -> dict:
     """Read a config file into a raw key -> string dict."""
     if not os.path.exists(path):
         raise ConfigParse(f"no such config file: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigParse(f"{path}: undecodable text: {exc}") from None
     raw = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigParse(f"{path}:{ln}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigParse(f"{path}:{ln}: unknown key '{key}'")
-            if not value:
-                raise ConfigParse(f"{path}:{ln}: empty value for '{key}'")
-            raw[key] = value
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigParse(f"{path}:{ln}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigParse(f"{path}:{ln}: unknown key '{key}'")
+        if not value:
+            raise ConfigParse(f"{path}:{ln}: empty value for '{key}'")
+        raw[key] = value
     for key in ("dimension", "nx", "nt", "horizon", "q", "r", "s"):
         if key not in raw:
             raise ConfigParse(f"{path}: missing required key '{key}'")
@@ -115,7 +119,7 @@ def _space_expression(key: str, text: str, grid: Grid, base_dir: str) -> np.ndar
 
 
 def _space_csv(path: str, grid: Grid) -> np.ndarray:
-    return read_rows(path, ConfigParse, grid.n_space)[:, -1].reshape(grid.space_shape)
+    return read_rows(path, ConfigParse, grid.space_shape, 1).reshape(grid.space_shape)
 
 
 def _coefficient(key: str, text: str, grid: Grid, base_dir: str):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidOption
 from .grid import grad_values, integrate_space_values, shift
 from .model import ProblemSpec, power_gradient
-from .varsolve import Solution
+from .verify import Solution
 
 _WEIGHT_FLOOR = 1e-10
 

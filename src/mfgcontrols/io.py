@@ -20,27 +20,36 @@ import numpy as np
 from .errors import MissingArtifact
 from .grid import Grid
 from .model import ProblemSpec
-from .varsolve import ConvergenceLog, Solution
+from .varsolve import ConvergenceLog
+from .verify import Solution
 
 FIELD_FILES = ("u.csv", "m.csv", "w.csv", "P.csv")
 _AXES = ("x_index", "y_index")
 
 
-def _template(prefixes, n_values: int) -> str:
-    """One '%'-format string for a file body: a row per prefix with n_values %.17g slots.
+@functools.lru_cache(maxsize=8)
+def _index_columns(shape: tuple) -> np.ndarray:
+    """Read-only index columns, as floats, of a file with a row per entry of an array of shape in C order.
 
-    '%.17g' % v prints the digits of format(v, '.17g'); 17 significant
-    digits round-trip doubles exactly.
+    Field files index (t, x[, y]) over (nt+1, *space), P.csv t over (nt+1,) and a
+    per-node config file (x[, y]) over space; the writers print these rows.
     """
-    slots = ",".join(["%.17g"] * n_values)
-    return "".join(f"{prefix},{slots}\n" for prefix in prefixes)
+    index = np.indices(shape).reshape(len(shape), -1).T.astype(float, order="C")
+    index.flags.writeable = False
+    return index
 
 
 @functools.lru_cache(maxsize=8)
-def _field_template(grid: Grid, n_values: int) -> str:
-    """_template of a field file, whose rows start with the indices t, x[, y] of a node."""
-    nodes = [",".join(map(str, ix)) for ix in np.indices(grid.space_shape).reshape(grid.d, -1).T.tolist()]
-    return _template((f"{t},{ix}" for t in range(grid.nt + 1) for ix in nodes), n_values)
+def _lattice_template(shape: tuple, n_values: int) -> str:
+    """One '%'-format body of a file with a row per entry of shape: its indices, then n_values %.17g slots.
+
+    The indices are printed here, once per shape, so that a write is one
+    '%' call.  '%.17g' % v prints the digits of format(v, '.17g'); 17
+    significant digits round-trip doubles exactly.
+    """
+    index = _index_columns(shape)
+    row = ",".join(["%d"] * len(shape)) + ",%%.17g" * n_values + "\n"  # %% leaves a value slot
+    return (row * len(index)) % tuple(index.ravel().tolist())
 
 
 def _write(path: str, cols: list, template: str, values) -> None:
@@ -49,66 +58,76 @@ def _write(path: str, cols: list, template: str, values) -> None:
 
 
 def write_scalar_csv(path: str, grid: Grid, values: np.ndarray) -> None:
-    _write(path, ["t_index", *_AXES[: grid.d], "value"], _field_template(grid, 1), values)
+    _write(path, ["t_index", *_AXES[: grid.d], "value"], _lattice_template(grid.scalar_shape, 1), values)
 
 
 def write_vector_csv(path: str, grid: Grid, values: np.ndarray) -> None:
     cols = ["t_index", *_AXES[: grid.d]] + [f"value_{i}" for i in range(grid.d)]
     rows = values.reshape(grid.nt + 1, grid.d, grid.n_space).transpose(0, 2, 1)
-    _write(path, cols, _field_template(grid, grid.d), rows)
+    _write(path, cols, _lattice_template(grid.scalar_shape, grid.d), rows)
 
 
 def write_price_csv(path: str, grid: Grid, values: np.ndarray) -> None:
     cols = ["t_index"] + [f"value_{i}" for i in range(values.shape[1])]
-    _write(path, cols, _template(range(grid.nt + 1), values.shape[1]), values)
+    _write(path, cols, _lattice_template((grid.nt + 1,), values.shape[1]), values)
 
 
-def read_rows(path: str, error: type, n_rows: int, n_cols: int | None = None) -> np.ndarray:
-    """The n_rows rows below a CSV file's header line, read strictly into a 2-D float array.
+def read_rows(path: str, error: type, shape: tuple, n_values: int) -> np.ndarray:
+    """The (rows, n_values) value columns of a CSV file with a row per entry of shape, read strictly.
 
-    A missing file, a row count other than n_rows, and a row that is ragged,
-    holds a non-numeric or non-finite value or (if given) has other than
-    n_cols columns raise error naming the file; a bad row is named by its
-    1-based file line, the header being line 1.
+    Below its header line the file holds one row per entry of an array of
+    this shape, in the order the writers print: its index columns, one per
+    axis, then n_values values.  A missing file, another row count, and a row
+    that is ragged, has another width, holds a non-numeric or non-finite value
+    or indexes another entry raise error naming the file; a bad row is named
+    by its 1-based file line, the header being line 1.
     """
     if not os.path.exists(path):
         raise error(f"no such file: {path}")
+    index, n_cols = _index_columns(shape), len(shape) + n_values
     try:
         with warnings.catch_warnings():  # loadtxt warns on a header-only file
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:
         data = None
-    if data is None or not np.isfinite(data).all() or (data.size and n_cols not in (None, data.shape[1])):
-        raise error(f"{path}: malformed row: {_bad_line(path, n_cols)}")
-    if data.shape[0] != n_rows:
-        raise error(f"{path}: expected {n_rows} rows, found {data.shape[0]}")
-    return data
+    if data is None or not np.isfinite(data).all() or (data.size and data.shape[1] != n_cols):
+        raise error(f"{path}: malformed row: {_bad_line(path, n_cols, index)}")
+    if data.shape[0] != len(index):
+        raise error(f"{path}: expected {len(index)} rows, found {data.shape[0]}")
+    if not np.array_equal(data[:, : len(shape)], index):
+        raise error(f"{path}: rows not in lattice order: {_bad_line(path, n_cols, index)}")
+    return data[:, len(shape):]
 
 
-def _bad_line(path: str, n_cols: int | None) -> str:
+def _bad_line(path: str, n_cols: int, index: np.ndarray) -> str:
     """The first line of a file that read_rows refused and why, found by a rescan off the fast path."""
     with open(path, errors="replace") as fh:
         lines = fh.read().splitlines()
+    row = 0
     for num, line in enumerate(lines[1:], start=2):
         text = line.split("#", 1)[0]  # loadtxt's comment convention; it skips blank lines
         if not text.strip():
             continue
         fields = text.split(",")
-        n_cols = n_cols or len(fields)  # without n_cols, the first row sets the width
         if len(fields) != n_cols:
             return f"line {num} has {len(fields)} columns, expected {n_cols}"
         try:
-            if not all(np.isfinite([float(v) for v in fields])):
-                return f"line {num} has a non-finite value"
+            values = [float(v) for v in fields]
         except ValueError:
             return f"line {num} has a non-numeric value"
+        if not all(np.isfinite(values)):
+            return f"line {num} has a non-finite value"
+        if row < len(index) and values[: index.shape[1]] != index[row].tolist():
+            found, expected = ",".join(fields[: index.shape[1]]), ",".join("%d" % i for i in index[row])
+            return f"line {num} has index {found}, expected {expected}"
+        row += 1
     return "unreadable"
 
 
 def write_log_csv(path: str, log: ConvergenceLog) -> None:
     cols = ["iter", "B", "D", "gap", "fp_res", "price_res"]
-    _write(path, cols, _template(log.iters, 5), np.column_stack(log.columns()[1:]))
+    _write(path, cols, ("%d" + ",%.17g" * 5 + "\n") * len(log.iters), np.column_stack(log.columns()))
 
 
 def write_solution(out_dir: str, sol: Solution, log: ConvergenceLog | None = None, manifest: dict | None = None) -> list:
@@ -151,17 +170,16 @@ def read_manifest(sol_dir: str) -> dict:
 def read_solution(sol_dir: str, spec: ProblemSpec) -> Solution:
     """Load a solution directory written by write_solution; gamma = f(m) as the solvers set it.
 
-    Each field file must have its full shape: a row per node (per time node
-    for P.csv) and the index columns plus 1 (u, m), d (w) or k (P) values.
+    Each field file must have its full shape: a row per node in lattice order
+    (per time node for P.csv), its index columns, then 1 (u, m), d (w) or k (P) values.
     """
     g, d = spec.grid, spec.grid.d
-    nodes = (g.nt + 1) * g.n_space
 
-    def read(name, n_rows, n_cols):
-        return read_rows(os.path.join(sol_dir, name), MissingArtifact, n_rows, n_cols)
+    def read(name, shape, n_values):
+        return read_rows(os.path.join(sol_dir, name), MissingArtifact, shape, n_values)
 
-    u = read("u.csv", nodes, d + 2)[:, -1].reshape(g.scalar_shape)
-    m = read("m.csv", nodes, d + 2)[:, -1].reshape(g.scalar_shape)
-    w = read("w.csv", nodes, 1 + 2 * d)[:, -d:].reshape(g.nt + 1, g.n_space, d).transpose(0, 2, 1)
-    P = read("P.csv", g.nt + 1, 1 + spec.k)[:, 1:]
+    u = read("u.csv", g.scalar_shape, 1).reshape(g.scalar_shape)
+    m = read("m.csv", g.scalar_shape, 1).reshape(g.scalar_shape)
+    w = read("w.csv", g.scalar_shape, d).reshape(g.nt + 1, g.n_space, d).transpose(0, 2, 1)
+    P = read("P.csv", (g.nt + 1,), spec.k)
     return Solution(grid=g, u=u, m=m, w=w.reshape(g.vector_shape), P=P, gamma=spec.coupling_f(np.maximum(m, 0.0)))

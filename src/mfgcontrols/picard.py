@@ -29,7 +29,8 @@ one node.  The diffusion matrix A is validated once per spec
 formed only when A != 0.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
-stencils, so agreement of the two solvers is a meaningful uniqueness check.
+stencils and ``verify.Solution`` (nothing comes from ``varsolve``), so
+agreement of the two solvers is a meaningful uniqueness check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import CFLViolation, InvalidOption, NegativeDensity
 from .grid import diffusion_values, grad_values, shift
 from .model import ProblemSpec
-from .varsolve import Solution
+from .verify import Solution
 
 # Residual differences kept by the Anderson mixing.  Full-memory Anderson
 # acts like GMRES (Walker and Ni, SIAM J. Numer. Anal. 2011), and depth m

@@ -1,24 +1,4 @@
-"""Primal functional, dual functional, and the first-order saddle-point solver.
-
-The discrete problem minimizes
-
-    B(m, w) = sum_n ht < m_n H*(x, -w_n/m_n) + F(x, m_n) >
-            + sum_n ht Phi(int phi w_n) + < u_T, m_Nt >
-
-over the transport constraint
-
-    (m_n - m_{n-1})/ht - A_ij d_ij m_n + div w_n = 0,   m_0 = m0,
-
-with the perspective convention at m = 0.  Functionals and residuals take
-interval fields of nt slices: interval n carries its m, w and gamma values
-at the right time node n and its dual u, P values at the left node n-1
-(``Solution`` keeps the (nt+1)-slot artifact layout).  With the exact
-adjoint pair of the grid module this makes the discrete duality
-
-    min B = -min D,   D(u, P, gamma) = -<u(0), m0> + sum ht Phi*(P) + sum ht <F*(gamma)>
-
-an exact finite-dimensional identity, so the duality gap of the iterates is
-a genuine optimality certificate.
+"""The saddle-point (PD) solver of the problem ``verify`` states, and the multi-start probe that runs it.
 
 The iteration is primal-dual hybrid gradient with Pock-Chambolle
 preconditioning: the exact pointwise prox of kinetic + congestion on (m, w)
@@ -53,9 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, InvalidOption
-from .grid import Grid, div_values, diffusion_values, grad_values
+from .grid import grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
+from .verify import (Solution, dual_gamma, eval_B, eval_D, residual_norms, transport_adjoint_m, transport_residual,
+                     weak_solution_report)
 
 # OMEGA: the transport multiplier's share of the step bound (not the
 # congestion theta); the price block keeps STEP_BOUND - OMEGA.  Any split
@@ -86,44 +68,6 @@ STEP_BOUND = 0.99
 TAU0 = 0.03
 BALANCE = (1.0, 9.0)
 ADAPT0, ADAPT_DECAY = 0.5, 0.95
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Fields of one candidate equilibrium on the lattice.
-
-    u, m, gamma: (nt+1, *space); w: (nt+1, d, *space); P: (nt+1, k).
-    Slice 0 of w is identically zero (no interval ends at t = 0) and slice
-    nt of u equals the terminal cost.  gamma is the congestion multiplier
-    f(max(m, 0)); every solver sets it so, and a run directory does not
-    store it: io.read_solution derives it from m.
-    """
-
-    grid: Grid
-    u: np.ndarray = field(repr=False)
-    m: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-    gamma: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        g = self.grid
-        for name, arr, shape in (
-            ("u", self.u, g.scalar_shape),
-            ("m", self.m, g.scalar_shape),
-            ("w", self.w, g.vector_shape),
-            ("gamma", self.gamma, g.scalar_shape),
-        ):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, arr)
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != g.nt + 1:
-            raise ValueError(f"P has shape {P.shape}, expected ({g.nt + 1}, k)")
-        object.__setattr__(self, "P", P)
 
 
 @dataclass
@@ -174,90 +118,8 @@ class ConvergenceLog:
         return self.iters, self.B, self.D, self.gap, self.fp_res, self.price_res
 
 
-# -- functionals ---------------------------------------------------------------
-
-
-def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
-    pos = m > 0.0
-    if pos.all():  # no vacuum node, so no +inf to place: a third of this function's time in the PD loop
-        return spec.ham_conjugate(w) / m ** (spec.r_prime - 1.0)
-    kin = spec.ham_conjugate(w) / np.where(pos, m, 1.0) ** (spec.r_prime - 1.0)
-    kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
-    return kin
-
-
-def eval_B(m: np.ndarray, w: np.ndarray, Z: np.ndarray, spec: ProblemSpec) -> float:
-    """Primal cost of interval fields with Z = aggregate_kernel(w); +inf on m < 0 or convention breach."""
-    g = spec.grid
-    if m.min() < 0.0:
-        return np.inf
-    # a perspective breach makes the kinetic sum, and so B, +inf
-    total = float(kinetic_energy_values(spec, m, w).sum() + spec.F(m).sum()) * g.ht * g.cell_volume
-    if not spec.price_free:
-        total += float(spec.Phi(Z).sum()) * g.ht
-    return total + float(np.vdot(spec.uT, m[-1])) * g.cell_volume
-
-
-def eval_D(u: np.ndarray, P: np.ndarray, gamma: np.ndarray, spec: ProblemSpec) -> float:
-    """Dual cost of interval fields (u, P at left nodes, gamma at right nodes)."""
-    g = spec.grid
-    total = -float(np.vdot(u[0], spec.m0)) * g.cell_volume
-    total += float(spec.Phi_star(P).sum()) * g.ht
-    return total + float(spec.F_star(gamma).sum()) * g.ht * g.cell_volume
-
-
-def residuals(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, P: np.ndarray, m_start=None):
-    """Transport residual R and aggregated flux Z of interval fields with their L1 norms.
-
-    Returns (R, Z, fp_res, price_res): fp_res = sum ht hx^d |R| and
-    price_res = sum ht |P - Psi(Z)|.  The saddle-point loop and the
-    verifier certify with these same numbers.
-    """
-    R = _constraint(spec, m, w, m_start)
-    Z = spec.aggregate_kernel(w)
-    return (R, Z, *_residual_norms(spec, R, Z, P))
-
-
-def _residual_norms(spec, R, Z, P):
-    """(fp_res, price_res) of ``residuals`` from R and Z already formed."""
-    g = spec.grid
-    fp_res = float(np.abs(R).sum()) * g.ht * g.cell_volume
-    return fp_res, float(np.linalg.norm(P - spec.Psi(Z), axis=-1).sum()) * g.ht
-
-
-# -- internal interval-variable operators --------------------------------------
-
-
-def _constraint(spec, m, w, m_start=None):
-    """R[i]: residual of interval i+1 from interval variables m, w (nt, ...).
-
-    m_start is the density slice the first interval starts from, m0 by
-    default; 0 gives the linear part, and the verifier passes the slot-0
-    density of the solution it checks.  R is affine in (m, w), so R at an
-    affine combination with weights summing to one is the same combination
-    of the R values; the saddle-point loop extrapolates R this way.
-    """
-    g = spec.grid
-    R = div_values(g, w)
-    R[0] += (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
-    R[1:] += (m[1:] - m[:-1]) / g.ht
-    if spec.A.any():
-        R -= diffusion_values(g, spec.A, m)
-    return R
-
-
-def _adjoint_m(spec, u):
-    g = spec.grid
-    gm = u / g.ht
-    gm[:-1] -= u[1:] / g.ht
-    if spec.A.any():
-        gm -= diffusion_values(g, spec.A, u)
-    return gm
-
-
 def _transport_step(spec: ProblemSpec, scale: float):
-    """The map R -> scale (K K^T)^-1 R, K the linear part of ``_constraint``.
+    """The map R -> scale (K K^T)^-1 R, K the linear part of ``transport_residual``.
 
     The spatial DFT splits K K^T into one nt x nt block per mode,
     (D + lam)(D + lam)^T + beta with D = (I - subdiagonal)/ht and the
@@ -304,22 +166,6 @@ def _transport_step(spec: ProblemSpec, scale: float):
     return step
 
 
-def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Dual-feasible congestion multiplier from interval u and xi = Du + phi^T P.
-
-    gamma_i = -(u_{i+1} - u_i)/ht - A_ij d_ij u_i + H(x, xi_i) with the
-    terminal ghost u_nt = u_T.  Evaluating D here yields a valid lower bound
-    on -B at every iterate.
-    """
-    g = spec.grid
-    gam = spec.hamiltonian(xi)
-    if spec.A.any():
-        gam -= diffusion_values(g, spec.A, u_int)
-    gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
-    gam[-1] += (u_int[-1] - spec.uT) / g.ht
-    return gam
-
-
 def _finalize(spec, m, w, u, p) -> Solution:
     """(nt+1)-slot artifact layout: slot 0 holds m0 and zero momentum, slot nt
     of u the terminal cost and slot nt of P the price Psi(Z_nt)."""
@@ -340,7 +186,6 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     converged = False in the log.  The price-free game (kappa_phi = 0) is
     solved by the same iteration: its price prox returns P = 0.
     """
-    from .verify import weak_solution_report  # verify imports this module
     opts = opts or SolverOptions()
     g = spec.grid
     tol = opts.tol_gap
@@ -366,16 +211,16 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     log = ConvergenceLog()
     log.m_min = float(np.min(m))
     # the affine images of the current point: R, Z of (m, w) and xi of (u, P)
-    R, Z = _constraint(spec, m, w), spec.aggregate_kernel(w)
+    R, Z = transport_residual(spec, m, w), spec.aggregate_kernel(w)
     xi = grad_values(g, u) + spec.phi_transpose_price(p)
 
     for it in range(1, opts.max_iter + 1):
         # prox point: joint kinetic + congestion prox at x - tau K^T y, whose w-part is w - tau xi
-        gm = m + tau * _adjoint_m(spec, u)
+        gm = m + tau * transport_adjoint_m(spec, u)
         gm[-1] -= tau * spec.uT / g.ht
         mt, wt = prox_kinetic_congestion(gm, (w - tau * xi).swapaxes(0, 1), tau, spec.c, spec.r, spec.theta, spec.q)
         wt = wt.swapaxes(0, 1)
-        Rt, Zt = _constraint(spec, mt, wt), spec.aggregate_kernel(wt)
+        Rt, Zt = transport_residual(spec, mt, wt), spec.aggregate_kernel(wt)
 
         # dual step at the extrapolated point 2 x~ - x, through the affine R and Z
         dR = Rt - R
@@ -387,7 +232,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
 
         # certificate of the prox point (x~, y~)
         log.m_min = min(log.m_min, float(mt.min()))
-        fp_res, price_res = _residual_norms(spec, Rt, Zt, pt)
+        fp_res, price_res = residual_norms(spec, Rt, Zt, pt)
         Bv = eval_B(mt, wt, Zt, spec)
         Dv = eval_D(ut, pt, dual_gamma(spec, ut, xit), spec)
         gap = Bv + Dv
@@ -421,3 +266,53 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     log.steps = {"tau": tau, "omega": OMEGA, "sigma_price": sigma_tau / tau}
     log.iterations = log.iters[-1] if log.iters else 0
     return (sol if log.converged else _finalize(spec, mt, wt, ut, pt)), log
+
+
+@dataclass
+class ProbeResult:
+    m_distance: float
+    P_distance: float
+    u_distance_on_support: float
+    gaps: list
+
+
+def random_feasible_init(spec: ProblemSpec, rng: np.random.Generator) -> Solution:
+    """Random positive unit-mass density path with small random momentum and duals."""
+    g = spec.grid
+    m = np.abs(1.0 + 0.3 * rng.standard_normal(g.scalar_shape)) * spec.m0
+    masses = np.sum(m, axis=tuple(range(1, m.ndim)), keepdims=True) * g.cell_volume
+    m = m / masses
+    m[0] = spec.m0
+    w = 0.1 * rng.standard_normal(g.vector_shape)
+    w[0] = 0.0
+    u = 0.1 * rng.standard_normal(g.scalar_shape)
+    u[g.nt] = spec.uT
+    P = 0.1 * rng.standard_normal((g.nt + 1, spec.k))
+    gamma = spec.coupling_f(m)
+    return Solution(grid=g, u=u, m=m, w=w, P=P, gamma=gamma)
+
+
+def uniqueness_probe(spec: ProblemSpec, opts: SolverOptions | None = None, n_inits: int = 3, seed: int = 0) -> ProbeResult:
+    """Solve from n random starts; return max pairwise L1 distances of (m, P).
+
+    The value function is compared only on the region where the density
+    stays positive, matching the uniqueness statement.
+    """
+    if n_inits < 1:
+        raise InvalidOption("n_inits must be >= 1")
+    g = spec.grid
+    rng = np.random.default_rng(seed)
+    sols, gaps = [], []
+    for _ in range(n_inits):
+        sol, log = solve_primal_dual(spec, opts, init=random_feasible_init(spec, rng))
+        sols.append(sol)
+        gaps.append(log.gap[-1] if log.gap else np.nan)
+    ht, vol = g.ht, g.cell_volume
+    m_d = P_d = u_d = 0.0
+    for i in range(n_inits):
+        for j in range(i + 1, n_inits):
+            m_d = max(m_d, float(np.sum(np.abs(sols[i].m - sols[j].m)) * ht * vol))
+            P_d = max(P_d, float(np.sum(np.abs(sols[i].P - sols[j].P)) * ht))
+            support = (sols[i].m > 1e-6) & (sols[j].m > 1e-6)
+            u_d = max(u_d, float(np.sum(np.abs((sols[i].u - sols[j].u))[support]) * ht * vol))
+    return ProbeResult(m_distance=m_d, P_distance=P_d, u_distance_on_support=u_d, gaps=gaps)

@@ -1,4 +1,24 @@
-"""Certification of candidate solutions against the equilibrium characterization.
+"""The weak solution, its functionals, and its certification.
+
+The discrete problem minimizes
+
+    B(m, w) = sum_n ht < m_n H*(x, -w_n/m_n) + F(x, m_n) >
+            + sum_n ht Phi(int phi w_n) + < u_T, m_Nt >
+
+over the transport constraint
+
+    (m_n - m_{n-1})/ht - A_ij d_ij m_n + div w_n = 0,   m_0 = m0,
+
+with the perspective convention at m = 0.  Functionals and residuals take
+interval fields of nt slices: interval n carries its m, w and gamma values
+at the right time node n and its dual u, P values at the left node n-1
+(``Solution`` keeps the (nt+1)-slot artifact layout).  With the exact
+adjoint pair of the grid module this makes the discrete duality
+
+    min B = -min D,   D(u, P, gamma) = -<u(0), m0> + sum ht Phi*(P) + sum ht <F*(gamma)>
+
+an exact finite-dimensional identity, so the duality gap is a genuine
+optimality certificate.
 
 A quadruplet (u, P, m, w) together with gamma = f(m) is certified through
 eight numbers: the duality gap B + D, the one-sided violation of the
@@ -11,24 +31,50 @@ stops on this module's verdict at its gap tolerance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidOption
-from .grid import grad_values
+from .grid import Grid, diffusion_values, div_values, grad_values
 from .model import ProblemSpec
-from .varsolve import (
-    Solution,
-    SolverOptions,
-    _constraint,
-    _residual_norms,
-    dual_gamma,
-    eval_B,
-    eval_D,
-    kinetic_energy_values,
-    solve_primal_dual,
-)
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Fields of one candidate equilibrium on the lattice.
+
+    u, m, gamma: (nt+1, *space); w: (nt+1, d, *space); P: (nt+1, k).
+    Slice 0 of w is identically zero (no interval ends at t = 0) and slice
+    nt of u equals the terminal cost.  gamma is the congestion multiplier
+    f(max(m, 0)); every solver sets it so, and a run directory does not
+    store it: io.read_solution derives it from m.
+    """
+
+    grid: Grid
+    u: np.ndarray = field(repr=False)
+    m: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    P: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        g = self.grid
+        for name, arr, shape in (
+            ("u", self.u, g.scalar_shape),
+            ("m", self.m, g.scalar_shape),
+            ("w", self.w, g.vector_shape),
+            ("gamma", self.gamma, g.scalar_shape),
+        ):
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, arr)
+        P = np.asarray(self.P, dtype=float)
+        if P.ndim != 2 or P.shape[0] != g.nt + 1:
+            raise ValueError(f"P has shape {P.shape}, expected ({g.nt + 1}, k)")
+        object.__setattr__(self, "P", P)
 
 
 @dataclass
@@ -44,6 +90,92 @@ class ResidualReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# -- functionals ---------------------------------------------------------------
+
+
+def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
+    pos = m > 0.0
+    if pos.all():  # no vacuum node, so no +inf to place: a third of this function's time in the PD loop
+        return spec.ham_conjugate(w) / m ** (spec.r_prime - 1.0)
+    kin = spec.ham_conjugate(w) / np.where(pos, m, 1.0) ** (spec.r_prime - 1.0)
+    kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
+    return kin
+
+
+def eval_B(m: np.ndarray, w: np.ndarray, Z: np.ndarray, spec: ProblemSpec) -> float:
+    """Primal cost of interval fields with Z = aggregate_kernel(w); +inf on m < 0 or convention breach."""
+    g = spec.grid
+    if m.min() < 0.0:
+        return np.inf
+    # a perspective breach makes the kinetic sum, and so B, +inf
+    total = float(kinetic_energy_values(spec, m, w).sum() + spec.F(m).sum()) * g.ht * g.cell_volume
+    if not spec.price_free:
+        total += float(spec.Phi(Z).sum()) * g.ht
+    return total + float(np.vdot(spec.uT, m[-1])) * g.cell_volume
+
+
+def eval_D(u: np.ndarray, P: np.ndarray, gamma: np.ndarray, spec: ProblemSpec) -> float:
+    """Dual cost of interval fields (u, P at left nodes, gamma at right nodes)."""
+    g = spec.grid
+    total = -float(np.vdot(u[0], spec.m0)) * g.cell_volume
+    total += float(spec.Phi_star(P).sum()) * g.ht
+    return total + float(spec.F_star(gamma).sum()) * g.ht * g.cell_volume
+
+
+def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Dual-feasible congestion multiplier from interval u and xi = Du + phi^T P.
+
+    gamma_i = -(u_{i+1} - u_i)/ht - A_ij d_ij u_i + H(x, xi_i) with the
+    terminal ghost u_nt = u_T.  Evaluating D here yields a valid lower bound
+    on -B at every iterate.
+    """
+    g = spec.grid
+    gam = spec.hamiltonian(xi)
+    if spec.A.any():
+        gam -= diffusion_values(g, spec.A, u_int)
+    gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
+    gam[-1] += (u_int[-1] - spec.uT) / g.ht
+    return gam
+
+
+# -- the transport operator K and its adjoint ----------------------------------
+
+
+def transport_residual(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, m_start=None) -> np.ndarray:
+    """R[i]: residual of interval i+1 from interval variables m, w (nt, ...).
+
+    m_start is the density slice the first interval starts from, m0 by
+    default; 0 gives the linear part K, and the verifier passes the slot-0
+    density of the solution it checks.  R is affine in (m, w); ``varsolve``
+    extrapolates it so.
+    """
+    g = spec.grid
+    R = div_values(g, w)
+    R[0] += (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
+    R[1:] += (m[1:] - m[:-1]) / g.ht
+    if spec.A.any():
+        R -= diffusion_values(g, spec.A, m)
+    return R
+
+
+def transport_adjoint_m(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """The m-part of K^T u; its w-part is -grad_values(grid, u)."""
+    g = spec.grid
+    gm = u / g.ht
+    gm[:-1] -= u[1:] / g.ht
+    if spec.A.any():
+        gm -= diffusion_values(g, spec.A, u)
+    return gm
+
+
+def residual_norms(spec: ProblemSpec, R: np.ndarray, Z: np.ndarray, P: np.ndarray):
+    """(fp_res, price_res) = (sum ht hx^d |R|, sum ht |P - Psi(Z)|) of R and Z = aggregate_kernel(w)."""
+    g = spec.grid
+    fp_res = float(np.abs(R).sum()) * g.ht * g.cell_volume
+    return fp_res, float(np.linalg.norm(P - spec.Psi(Z), axis=-1).sum()) * g.ht
 
 
 def complementarity_value(sol: Solution, spec: ProblemSpec) -> float:
@@ -74,18 +206,17 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     g = spec.grid
     spec.A_psd  # raises NotPSD
     ht, vol = g.ht, g.cell_volume
-    # interval fields: m, w, gamma at right nodes, u, P at left nodes
     m, w, gamma = sol.m[1:], sol.w[1:], sol.gamma[1:]
     u, P = sol.u[: g.nt], sol.P[: g.nt]
     # R, Z and xi once each, as the saddle-point loop forms them; the first interval starts
     # from the solution's own slot 0, whose mismatch with m0 is counted separately
-    R, Z = _constraint(spec, m, w, sol.m[0]), spec.aggregate_kernel(w)
+    R, Z = transport_residual(spec, m, w, sol.m[0]), spec.aggregate_kernel(w)
     xi = grad_values(g, u) + spec.phi_transpose_price(P)
 
     gap = eval_B(m, w, Z, spec) + eval_D(u, P, gamma, spec)
     f_m = spec.coupling_f(np.maximum(m, 0.0))
     hj_violation = float(np.sum(np.maximum(dual_gamma(spec, u, xi) - f_m, 0.0)) * ht * vol)
-    fp_res, price_residual = _residual_norms(spec, R, Z, P)
+    fp_res, price_residual = residual_norms(spec, R, Z, P)
     fp_residual = float(np.sum(np.abs(sol.m[0] - spec.m0)) * vol) + fp_res
     fb = w + np.maximum(m, 0.0)[:, None] * spec.dH(xi)
     feedback_residual = float(np.sum(np.sqrt(np.sum(fb * fb, axis=1))) * ht * vol)
@@ -108,53 +239,3 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     checks = [gap, hj_violation, fp_residual, price_residual, feedback_residual, abs(compl)]
     verdict = all(np.isfinite(v) and abs(v) <= tol for v in checks) and m_min >= -tol
     return report, bool(verdict)
-
-
-@dataclass
-class ProbeResult:
-    m_distance: float
-    P_distance: float
-    u_distance_on_support: float
-    gaps: list
-
-
-def random_feasible_init(spec: ProblemSpec, rng: np.random.Generator) -> Solution:
-    """Random positive unit-mass density path with small random momentum and duals."""
-    g = spec.grid
-    m = np.abs(1.0 + 0.3 * rng.standard_normal(g.scalar_shape)) * spec.m0
-    masses = np.sum(m, axis=tuple(range(1, m.ndim)), keepdims=True) * g.cell_volume
-    m = m / masses
-    m[0] = spec.m0
-    w = 0.1 * rng.standard_normal(g.vector_shape)
-    w[0] = 0.0
-    u = 0.1 * rng.standard_normal(g.scalar_shape)
-    u[g.nt] = spec.uT
-    P = 0.1 * rng.standard_normal((g.nt + 1, spec.k))
-    gamma = spec.coupling_f(m)
-    return Solution(grid=g, u=u, m=m, w=w, P=P, gamma=gamma)
-
-
-def uniqueness_probe(spec: ProblemSpec, opts: SolverOptions | None = None, n_inits: int = 3, seed: int = 0) -> ProbeResult:
-    """Solve from n random starts; return max pairwise L1 distances of (m, P).
-
-    The value function is compared only on the region where the density
-    stays positive, matching the uniqueness statement.
-    """
-    if n_inits < 1:
-        raise InvalidOption("n_inits must be >= 1")
-    g = spec.grid
-    rng = np.random.default_rng(seed)
-    sols, gaps = [], []
-    for _ in range(n_inits):
-        sol, log = solve_primal_dual(spec, opts, init=random_feasible_init(spec, rng))
-        sols.append(sol)
-        gaps.append(log.gap[-1] if log.gap else np.nan)
-    ht, vol = g.ht, g.cell_volume
-    m_d = P_d = u_d = 0.0
-    for i in range(n_inits):
-        for j in range(i + 1, n_inits):
-            m_d = max(m_d, float(np.sum(np.abs(sols[i].m - sols[j].m)) * ht * vol))
-            P_d = max(P_d, float(np.sum(np.abs(sols[i].P - sols[j].P)) * ht))
-            support = (sols[i].m > 1e-6) & (sols[j].m > 1e-6)
-            u_d = max(u_d, float(np.sum(np.abs((sols[i].u - sols[j].u))[support]) * ht * vol))
-    return ProbeResult(m_distance=m_d, P_distance=P_d, u_distance_on_support=u_d, gaps=gaps)

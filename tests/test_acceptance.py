@@ -16,8 +16,8 @@ from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec, case_2b_condition, kappa_bar
 from mfgcontrols.picard import solve_fp
 from mfgcontrols.prox import kinetic_kkt_residual, prox_F, prox_Phi_star, prox_kinetic_congestion
-from mfgcontrols.varsolve import SolverOptions, solve_primal_dual
-from mfgcontrols.verify import random_feasible_init, uniqueness_probe, weak_solution_report
+from mfgcontrols.varsolve import SolverOptions, random_feasible_init, solve_primal_dual, uniqueness_probe
+from mfgcontrols.verify import weak_solution_report
 from oracle import brute_prox_F, brute_prox_kinetic, brute_prox_phi_star, equilibrium_oracle
 
 

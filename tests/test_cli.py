@@ -212,7 +212,7 @@ def test_csv_roundtrip_exact_2d(tmp_path):
     from mfgcontrols import io as sio
     from mfgcontrols.grid import Grid
     from mfgcontrols.model import ProblemSpec
-    from mfgcontrols.varsolve import Solution
+    from mfgcontrols.verify import Solution
 
     g = Grid(d=2, nx=5, nt=3, T=1.0)
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones((5, 5)), k=2)
@@ -329,8 +329,9 @@ def test_csv_backed_run_verifies_on_its_own(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
 @pytest.mark.parametrize("command", ["classify", "solve"])
-@pytest.mark.parametrize("body", ["0,1\n1,1,3\n2,1\n3,1\n", "", "0,1\n1,abc\n2,1\n3,1\n"],
-                         ids=["ragged", "header_only", "non_numeric"])
+@pytest.mark.parametrize("body", ["0,1\n1,1,3\n2,1\n3,1\n", "", "0,1\n1,abc\n2,1\n3,1\n",
+                                  "3,4\n2,3\n1,2\n0,1\n", "0,1,5\n1,1,5\n2,1,5\n3,1,5\n"],
+                         ids=["ragged", "header_only", "non_numeric", "reversed_rows", "extra_column"])
 def test_malformed_coefficient_csv_exits_1(tmp_path, capsys, command, body):
     (tmp_path / "theta.csv").write_text("x_index,value\n" + body)
     cfg = write_cfg(tmp_path / "c.cfg", nx=4, nt=4, theta="theta.csv")
@@ -474,16 +475,19 @@ def test_field_csv_extra_column_exits_1(uniform_run, capsys, name):
 
 
 def _spoil_line_3(path, case):
-    """Line 3 of a CSV file (the header is line 1) made ragged, non-numeric or NaN."""
+    """Line 3 of a CSV file (the header is line 1) made ragged, non-numeric or NaN, or swapped with line 4."""
     lines = path.read_text().splitlines()
-    head = lines[2] if case == "ragged" else lines[2].rsplit(",", 1)[0]
-    lines[2] = head + {"ragged": ",3", "non_numeric": ",abc", "nan": ",nan"}[case]
+    if case == "swapped":  # each row keeps its own index columns
+        lines[2], lines[3] = lines[3], lines[2]
+    else:
+        head = lines[2] if case == "ragged" else lines[2].rsplit(",", 1)[0]
+        lines[2] = head + {"ragged": ",3", "non_numeric": ",abc", "nan": ",nan"}[case]
     path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
 @pytest.mark.parametrize("command", ["classify", "verify"])
-@pytest.mark.parametrize("case", ["ragged", "non_numeric", "nan"])
+@pytest.mark.parametrize("case", ["ragged", "non_numeric", "nan", "swapped"])
 def test_malformed_csv_names_its_file_line(tmp_path, capsys, command, case):
     # a config CSV and a run-directory file number a bad row by the same file line
     if command == "classify":
@@ -499,3 +503,44 @@ def test_malformed_csv_names_its_file_line(tmp_path, capsys, command, case):
     assert main(argv) == 1
     err = _one_line_error(capsys)
     assert path.name in err and "line 3" in err
+
+
+
+@pytest.mark.parametrize("name", ["w.csv", "P.csv"])
+def test_field_csv_rows_out_of_lattice_order_exit_1(uniform_run, capsys, name):
+    # two rows swapped, each keeping its own index columns, are refused rather than read by position
+    path = uniform_run / name
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--solution", str(uniform_run), "--tol", "1e-3"]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("input error: ") and name in err and "line 2" in err
+
+
+def test_solve_out_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("not a directory\n")
+    assert main(["solve", UNIFORM_CFG, "--out", str(out), "--tol", "1e-3"]) == 1
+    assert _one_line_error(capsys).startswith("input error: ")
+
+
+@pytest.mark.parametrize("case,prefix", [("directory", "input error: "), ("undecodable", "config error: ")],
+                         ids=["directory", "undecodable"])
+def test_classify_unreadable_config_exits_1(tmp_path, capsys, case, prefix):
+    cfg = tmp_path / "c.cfg"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        with open(UNIFORM_CFG, "rb") as fh:  # and a comment whose bytes are not UTF-8
+            cfg.write_bytes(fh.read() + b"# \xff\xfe\n")
+    assert main(["classify", str(cfg)]) == 1
+    assert _one_line_error(capsys).startswith(prefix)
+
+
+@pytest.mark.parametrize("name", ["m.csv", "manifest.json"])
+def test_verify_artifact_is_a_directory_exits_1(uniform_run, capsys, name):
+    os.remove(uniform_run / name)
+    os.mkdir(uniform_run / name)
+    assert main(["verify", "--solution", str(uniform_run)]) == 1
+    assert _one_line_error(capsys).startswith("input error: ")

@@ -13,7 +13,7 @@ from mfgcontrols.errors import InvalidOption
 from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
-from mfgcontrols.varsolve import Solution
+from mfgcontrols.verify import Solution
 
 
 def exact_uniform_solution(spec):

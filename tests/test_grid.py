@@ -13,7 +13,7 @@ from mfgcontrols.grid import (
     integrate_space_values,
     shift,
 )
-from mfgcontrols.varsolve import Solution
+from mfgcontrols.verify import Solution
 
 
 def test_grid_validation():

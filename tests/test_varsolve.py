@@ -11,19 +11,16 @@ from mfgcontrols.grid import Grid, div_values, grad_values
 from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec, classify_exponents
 from mfgcontrols.picard import PicardOptions, picard_iterate
-from mfgcontrols.varsolve import (
-    OMEGA,
-    SolverOptions,
-    _adjoint_m,
-    _constraint,
-    _transport_step,
+from mfgcontrols.varsolve import OMEGA, SolverOptions, _transport_step, solve_primal_dual
+from mfgcontrols.verify import (
     dual_gamma,
     eval_B,
     eval_D,
-    residuals,
-    solve_primal_dual,
+    residual_norms,
+    transport_adjoint_m,
+    transport_residual,
+    weak_solution_report,
 )
-from mfgcontrols.verify import weak_solution_report
 from oracle import transport_matrix
 
 
@@ -96,7 +93,8 @@ def test_fp_constraint_stationary(spec8):
     g = spec8.grid
     m = np.broadcast_to(spec8.m0, g.scalar_shape).copy()
     w = np.zeros(g.vector_shape)
-    R, _, fp_res, _ = residuals(spec8, m[1:], w[1:], np.zeros((g.nt, 1)), m_start=m[0])
+    R = transport_residual(spec8, m[1:], w[1:], m[0])
+    fp_res, _ = residual_norms(spec8, R, spec8.aggregate_kernel(w[1:]), np.zeros((g.nt, 1)))
     assert np.max(np.abs(R)) == 0.0
     assert fp_res == 0.0
 
@@ -107,21 +105,22 @@ def test_fp_constraint_linearity_in_divergence(spec8):
     m = np.broadcast_to(spec8.m0, g.scalar_shape).copy()
     pot = rng.standard_normal(g.scalar_shape)
     w = grad_values(g, pot)
-    R, _, fp_res, _ = residuals(spec8, m[1:], w[1:], np.zeros((g.nt, 1)), m_start=m[0])
+    R = transport_residual(spec8, m[1:], w[1:], m[0])
+    fp_res, _ = residual_norms(spec8, R, spec8.aggregate_kernel(w[1:]), np.zeros((g.nt, 1)))
     div = div_values(g, w[1:])
     assert np.allclose(R, div)
     assert fp_res == pytest.approx(float(np.sum(np.abs(div)) * g.ht * g.cell_volume))
 
 
 def _check_constraint_adjoint(spec, seed):
-    # <_constraint(m, w, 0), U> = <_adjoint_m(U), m> - <grad U, w> on interval variables
+    # <transport_residual(m, w, 0), U> = <transport_adjoint_m(U), m> - <grad U, w> on interval variables
     g = spec.grid
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((g.nt, *g.space_shape))
     w = rng.standard_normal((g.nt, g.d, *g.space_shape))
     U = rng.standard_normal((g.nt, *g.space_shape))
-    lhs = float(np.sum(_constraint(spec, m, w, 0.0) * U))
-    rhs = float(np.sum(_adjoint_m(spec, U) * m) + np.sum(-grad_values(spec.grid, U) * w))
+    lhs = float(np.sum(transport_residual(spec, m, w, 0.0) * U))
+    rhs = float(np.sum(transport_adjoint_m(spec, U) * m) + np.sum(-grad_values(spec.grid, U) * w))
     scale = np.linalg.norm(U) * (np.linalg.norm(m) + np.linalg.norm(w))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -150,8 +149,8 @@ def test_affine_residual_reuse(spec8, case):
     rng = np.random.default_rng(9)
     m0, m1 = rng.standard_normal((2, g.nt, *g.space_shape))
     w0, w1 = rng.standard_normal((2, g.nt, g.d, *g.space_shape))
-    R0, R1 = _constraint(spec, m0, w0), _constraint(spec, m1, w1)
-    assert np.max(np.abs(_constraint(spec, 2 * m1 - m0, 2 * w1 - w0) - (2 * R1 - R0))) <= 1e-12
+    R0, R1 = transport_residual(spec, m0, w0), transport_residual(spec, m1, w1)
+    assert np.max(np.abs(transport_residual(spec, 2 * m1 - m0, 2 * w1 - w0) - (2 * R1 - R0))) <= 1e-12
     Z0, Z1 = spec.aggregate_kernel(w0), spec.aggregate_kernel(w1)
     assert np.max(np.abs(spec.aggregate_kernel(2 * w1 - w0) - (2 * Z1 - Z0))) <= 1e-12
 
@@ -165,7 +164,7 @@ def test_oracle_transport_matrix_matches_constraint():
     w = rng.standard_normal((g.nt, 1, g.nx))
     C, b = transport_matrix(spec)
     R = (C @ np.concatenate([m.ravel(), w.ravel()]) - b).reshape(m.shape)
-    assert np.max(np.abs(R - _constraint(spec, m, w))) <= 1e-12
+    assert np.max(np.abs(R - transport_residual(spec, m, w))) <= 1e-12
 
 
 # -- the preconditioned transport step ----------------------------------------------
@@ -201,8 +200,8 @@ def _dense_K(spec):
     g = spec.grid
     n_m, n_w = g.nt * g.n_space, g.nt * g.d * g.n_space
     return _dense_columns(
-        lambda x: _constraint(spec, x[:n_m].reshape(g.nt, *g.space_shape),
-                              x[n_m:].reshape(g.nt, g.d, *g.space_shape), 0.0),
+        lambda x: transport_residual(spec, x[:n_m].reshape(g.nt, *g.space_shape),
+                                     x[n_m:].reshape(g.nt, g.d, *g.space_shape), 0.0),
         n_m + n_w, (n_m + n_w,))
 
 
@@ -213,7 +212,7 @@ def test_transport_step_inverts_kkt(case):
     # correction at A != 0), so step(K K^T v) = v
     spec, v = case
     step = _transport_step(spec, 1.0)
-    kkt_v = _constraint(spec, _adjoint_m(spec, v), -grad_values(spec.grid, v), 0.0)
+    kkt_v = transport_residual(spec, transport_adjoint_m(spec, v), -grad_values(spec.grid, v), 0.0)
     assert np.max(np.abs(step(kkt_v) - v)) <= 1e-12 * np.max(np.abs(v))
 
 
@@ -447,7 +446,8 @@ def test_loop_certificate_equals_functionals_of_solution(bump_spec, bump_solved)
     sol, log = bump_solved
     spec, nt = bump_spec, bump_spec.grid.nt
     u, P, m, w = sol.u[:nt], sol.P[:nt], sol.m[1:], sol.w[1:]
-    _, Z, fp_res, price_res = residuals(spec, m, w, P)
+    Z = spec.aggregate_kernel(w)
+    fp_res, price_res = residual_norms(spec, transport_residual(spec, m, w), Z, P)
     xi = grad_values(spec.grid, u) + spec.phi_transpose_price(P)
     assert log.B[-1] == eval_B(m, w, Z, spec)
     assert log.D[-1] == eval_D(u, P, dual_gamma(spec, u, xi), spec)

@@ -6,13 +6,8 @@ from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import ProblemSpec
 from mfgcontrols.picard import picard_iterate, solve_fp, solve_hjb
-from mfgcontrols.varsolve import Solution, SolverOptions, solve_primal_dual
-from mfgcontrols.verify import (
-    complementarity_value,
-    random_feasible_init,
-    uniqueness_probe,
-    weak_solution_report,
-)
+from mfgcontrols.varsolve import SolverOptions, random_feasible_init, solve_primal_dual, uniqueness_probe
+from mfgcontrols.verify import Solution, complementarity_value, weak_solution_report
 
 
 def exact_uniform_solution(spec):
