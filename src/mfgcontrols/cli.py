@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -66,7 +67,17 @@ def _input_csvs(base: str, raw: dict) -> list:
     return pairs
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out whose nearest existing path is not a directory, before any work is done."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
+
+
 def cmd_solve(args) -> int:
+    _check_out(args.out)
     raw = parse_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     spec = build_spec(raw, base_dir=base)

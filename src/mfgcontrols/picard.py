@@ -17,16 +17,30 @@ every difference it combines has zero mass.
 
 Only the two explicit passes step through time.  The feedback and price
 stages act on all nt+1 time slices in one vectorised call each, and the
-price shift phi^T P and the transport face velocities are likewise formed
-for the whole path before the passes start.  Each pass keeps its field in
-one ghost-padded buffer of shape (nx+2)^d, built once per call: a substep
-copies the periodic ghosts in place, reads its one-sided differences or
-flux faces through views made once per call, and writes every temporary
-into a preallocated buffer.  Feedback takes the forward differences of the
-whole path from ``grad_values`` and the backward ones as their shift by
-one node.  The diffusion matrix A is validated once per spec
-(``ProblemSpec.A_psd``), and the diffusion stencil and its CFL term are
-formed only when A != 0.
+price shift phi^T P (signed, for both one-sided slopes) and the upwind
+pairs (v+, v-) of the transport face velocities are likewise formed for
+the whole path before the passes start.  Each pass keeps its field in one
+ghost-padded buffer of shape (nx+2)^d, built once per call, so a substep
+is a fixed short list of numpy calls on views and buffers made once per
+call: one strided copy per axis refreshes the periodic ghosts 0 and nx+1
+from nodes nx and 1; the value pass takes both one-sided differences of
+each axis into one slope buffer, and the density pass forms each axis's
+face flux as one product of the interval's (v+, v-) pair with a read-only
+view of the nodes on either side of the faces, then one sum of its two
+rows.  Feedback takes the forward differences of the whole path from
+``grad_values`` and the backward ones as their shift by one node; at
+r = 2 (and s = 2 in the price update) ``power_gradient`` is the linear map.
+The diffusion matrix A is validated once per spec (``ProblemSpec.A_psd``),
+and the diffusion stencil and its CFL term are formed only when A != 0.
+
+The value pass's CFL rate max_x(rate_coef S^e), e = (r - 1)/2, is taken
+as max(rate_coef) max_x(kappa S)^e with kappa = (rate_coef / max
+rate_coef)^(1/e): one scaled maximum of S and one scalar power instead of
+an elementwise power, product and maximum.  The two agree up to rounding:
+rate_coef S^e = max(rate_coef) (kappa S)^e at every node, and an
+increasing power commutes with the maximum over nodes.  kappa <= 1, so
+kappa S cannot overflow where S does not, even when e is small and 1/e
+large.  A constant c has kappa = 1 exactly.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
 stencils and ``verify.Solution`` (nothing comes from ``varsolve``), so
@@ -90,24 +104,29 @@ def _ends(ax: int) -> tuple:
     return lead + (slice(None, -1),), lead + (slice(1, None),)
 
 
-def _axis_window(pad: np.ndarray, ax: int, start: int, stop: int) -> np.ndarray:
-    """View of a ghost-padded field: entries start:stop on axis ax, the interior on the others."""
+def _axis_window(pad: np.ndarray, ax: int, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """View of a ghost-padded field: entries start:stop:step on axis ax, the interior on the others."""
     inner = slice(1, pad.shape[0] - 1)
-    return pad[(inner,) * ax + (slice(start, stop),) + (inner,) * (pad.ndim - 1 - ax)]
+    return pad[(inner,) * ax + (slice(start, stop, step),) + (inner,) * (pad.ndim - 1 - ax)]
 
 
 def _ghost_padded(n: int, d: int):
     """A field buffer of shape (n+2)^d with one periodic ghost layer on each axis.
 
-    Returns the buffer, its interior view, and the (ghost, source) view
-    pairs whose in-place copies refresh the periodic wrap of the interior.
+    Returns the buffer, its interior view, and per axis one (ghosts, sources)
+    pair of strided views: ghosts 0 and n+1, and nodes n and 1 (node 1 alone,
+    broadcast, when n = 1), so one in-place copy per axis refreshes the wrap.
     """
     pad = np.empty((n + 2,) * d)
-    ghosts = []
-    for i in range(d):
-        ghosts.append((_axis_window(pad, i, 0, 1), _axis_window(pad, i, n, n + 1)))
-        ghosts.append((_axis_window(pad, i, n + 1, n + 2), _axis_window(pad, i, 1, 2)))
+    ghosts = [(_axis_window(pad, i, 0, n + 2, n + 1), _axis_window(pad, i, n, 0, -max(n - 1, 1)))
+              for i in range(d)]
     return pad, _axis_window(pad, 0, 1, n + 1), ghosts
+
+
+def _two_windows(pad: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """Read-only (2, ...) view: the nodes k - 1 and k beside each face k = 0..n along axis ax."""
+    lo = _axis_window(pad, ax, 0, n + 1)
+    return np.lib.stride_tricks.as_strided(lo, (2, *lo.shape), (pad.strides[ax], *lo.strides), writeable=False)
 
 
 def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
@@ -147,11 +166,12 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     The slopes stay unscaled, hx (D^-_i u + g_i) and -hx (D^+_i u + g_i), so
     one maximum clips both and their squares sum to S = hx^2 xi_sq; the
     factors c / (r hx^r) of H and d c / hx^r of the CFL rate are formed
-    once per call.
+    once per call.  The rate max(rate_coef S^e), e = (r - 1)/2, is read as
+    max(rate_coef) max(kappa S)^e (see the module docstring).
     """
     g = spec.grid
     A = spec.A_psd
-    diffusive = np.any(A)
+    diffusive = A.any()
     if np.min(m) < -1e-12:
         raise NegativeDensity("solve_hjb requires m >= 0")
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
@@ -159,6 +179,8 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from S
     rate_coef = d * spec.c / hx**r  # the CFL rate is max(rate_coef S^speed_expo)
     ham_coef = spec.c / (r * hx**r)  # H = ham_coef S^ham_expo
+    rate_max = float(rate_coef.max())
+    kappa = (rate_coef / rate_max) ** (1.0 / speed_expo)
     limit = CFL_SAFETY * (1.0 + 1e-12)
     pad, cur, ghosts = _ghost_padded(n, d)
     slopes = np.empty((d, 2, *g.space_shape))
@@ -167,14 +189,14 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     stencil = [(_axis_window(pad, i, 0, n), _axis_window(pad, i, 2, n + 2), lower[i], upper[i])
                for i in range(d)]
     pairs = np.empty((d, *g.space_shape))
-    xi_sq = pairs[0]  # S accumulates in the first axis's sum of squares
-    tmp, ham = np.empty(g.space_shape), np.empty(g.space_shape)
+    xi_sq, extras = pairs[0], list(pairs[1:])  # S accumulates in the first axis's sum of squares
+    scaled, ham = np.empty(g.space_shape), np.empty(g.space_shape)
     u = np.empty(g.scalar_shape)
     u[g.nt] = cur[...] = spec.uT
     fm = spec.coupling_f(np.maximum(m, 0.0))
-    g_shift = spec.phi_transpose_price(P)
-    g_shift *= hx
-    g_signed = np.stack((g_shift, -g_shift), axis=2)  # (nt+1, d, 2, *space), the signs of the slopes
+    g_signed = np.empty((g.nt + 1, d, 2, *g.space_shape))  # the price shift hx g with each slope's sign
+    np.multiply(spec.phi_transpose_price(P), hx, out=g_signed[:, :, 0])
+    np.negative(g_signed[:, :, 0], out=g_signed[:, :, 1])
     diff_rate = _diffusion_cfl(spec) if diffusive else 0.0
     for j in range(g.nt - 1, -1, -1):
         rhs, gj = fm[j + 1], g_signed[j]
@@ -192,10 +214,10 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                 np.maximum(slopes, 0.0, out=slopes)
                 np.square(slopes, out=slopes)
                 np.add(lower, upper, out=pairs)
-                for extra in pairs[1:]:
+                for extra in extras:
                     xi_sq += extra
-                speed = np.multiply(_power(xi_sq, speed_expo, tmp), rate_coef, out=tmp)
-                rate = float(speed.max()) + diff_rate
+                top = np.multiply(xi_sq, kappa, out=scaled).max()
+                rate = rate_max * float(top) ** speed_expo + diff_rate
                 if dt * rate > limit:
                     ok = False
                     break
@@ -242,11 +264,13 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     Fluxes live on the wrapped face list: along each axis, entry k is the
     face between nodes k - 1 and k, so both ends carry the same periodic
     face.  The face velocities of each interval are scaled by its substep
-    over hx before the sweep starts.
+    over hx and split into the pair (v+, v-) before the sweep starts, so a
+    substep forms each axis's flux as one product of that pair with the
+    nodes on either side of the faces, then one sum of its two rows.
     """
     g = spec.grid
     A = spec.A_psd
-    diffusive = np.any(A)
+    diffusive = A.any()
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
@@ -259,37 +283,39 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
         raise _refuse("transport", float(rates[refused[0]]), refused[0] + 1)
     steps = ht / n_subs
     idx = np.arange(-1, n + 1) % n  # [n-1, 0, 1, ..., n-1, 0]: one periodic ghost node at each end
-    v_plus, v_minus = [], []
+    v_pm = []  # per axis, (nt, 2, *faces): the upwind pair (v+, v-) of each interval's face velocities
     for i in range(d):
         lo, hi = _ends(1 + i)
         wrapped = drift[:, i].take(idx, axis=1 + i)
         faces = 0.5 * (wrapped[lo] + wrapped[hi])
         faces *= (steps / hx).reshape(-1, *(1,) * d)  # dt / hx of each interval
-        v_plus.append(np.maximum(faces, 0.0))
-        v_minus.append(np.minimum(faces, 0.0))
+        pm = np.empty((g.nt, 2, *faces.shape[1:]))
+        np.maximum(faces, 0.0, out=pm[:, 0])
+        np.minimum(faces, 0.0, out=pm[:, 1])
+        v_pm.append(pm)
     pad, cur, ghosts = _ghost_padded(n, d)
     divs = np.empty((d, *g.space_shape))
-    flux_div = divs[0]  # the first axis's flux difference accumulates the others
-    # per axis, the nodes k - 1 and k beside face k, two face buffers, and the face ends
+    flux_div, extras = divs[0], list(divs[1:])  # the first axis's flux difference accumulates the others
+    # per axis, the nodes either side of each face, the two flux terms, the flux and its face ends
     sides = []
     for i in range(d):
-        lo, hi = _axis_window(pad, i, 0, n + 1), _axis_window(pad, i, 1, n + 2)
-        flux = np.empty(lo.shape)
+        nodes = _two_windows(pad, i, n)
+        terms = np.empty(nodes.shape)
+        flux = np.empty(nodes.shape[1:])
         first, last = _ends(i)
-        sides.append((lo, hi, flux, np.empty(lo.shape), flux[last], flux[first], divs[i]))
+        sides.append((nodes, terms, terms[0], terms[1], flux, flux[last], flux[first], divs[i]))
     m = np.empty(g.scalar_shape)
     m[0] = cur[...] = spec.m0
-    # per interval, the tuples of its face velocities along each axis
-    for n_step, dt, vp, vm, m_next in zip(n_subs, steps, zip(*v_plus), zip(*v_minus), m[1:]):
+    # per interval, the tuple of its (v+, v-) pairs along each axis
+    for n_step, dt, pms, m_next in zip(n_subs, steps, zip(*v_pm), m[1:]):
         for _ in range(n_step):
             for dst, src in ghosts:
                 dst[...] = src
-            for i, (lo, hi, flux, tmp, f_hi, f_lo, div) in enumerate(sides):
-                np.multiply(vp[i], lo, out=flux)
-                np.multiply(vm[i], hi, out=tmp)
-                flux += tmp
+            for pm, (nodes, terms, t_lo, t_hi, flux, f_hi, f_lo, div) in zip(pms, sides):
+                np.multiply(pm, nodes, out=terms)  # v+ m_(k-1) and v- m_k
+                np.add(t_lo, t_hi, out=flux)
                 np.subtract(f_hi, f_lo, out=div)
-            for extra in divs[1:]:
+            for extra in extras:
                 flux_div += extra
             if diffusive:
                 lap = diffusion_values(g, A, cur)

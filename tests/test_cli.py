@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mfgcontrols import cli
 from mfgcontrols.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -518,11 +519,19 @@ def test_field_csv_rows_out_of_lattice_order_exit_1(uniform_run, capsys, name):
     assert err.startswith("input error: ") and name in err and "line 2" in err
 
 
-def test_solve_out_is_a_file_exits_1(tmp_path, capsys):
+def test_solve_out_is_a_file_exits_1(tmp_path, capsys, monkeypatch):
+    # refused before the solve starts, and the file is left as it was
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_primal_dual", no_solve)
     out = tmp_path / "run"
     out.write_text("not a directory\n")
-    assert main(["solve", UNIFORM_CFG, "--out", str(out), "--tol", "1e-3"]) == 1
-    assert _one_line_error(capsys).startswith("input error: ")
+    for target in (out, out / "sub"):
+        assert main(["solve", UNIFORM_CFG, "--out", str(target), "--tol", "1e-3"]) == 1
+        assert _one_line_error(capsys).startswith("input error: ")
+    assert out.read_text() == "not a directory\n"
+    assert os.listdir(tmp_path) == ["run"]
 
 
 @pytest.mark.parametrize("case,prefix", [("directory", "input error: "), ("undecodable", "config error: ")],

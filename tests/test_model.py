@@ -56,6 +56,21 @@ def test_hamiltonian_hand_values_c2():
     assert np.allclose(spec.hamiltonian(xi) + spec.ham_conjugate(dh), np.sum(xi * dh, axis=0))
 
 
+def test_power_gradient_quadratic_bit_identical():
+    # expo = 2 is computed as coeff * xi; the general formula, bytes and zero signs included
+    rng = np.random.default_rng(5)
+    xi = rng.standard_normal((3, 2, 8))
+    xi[0, :, :3] = 0.0
+    xi[1, :, 2:5] = -0.0
+    xi[2, 0, 5] = -0.0  # a signed zero component of a nonzero vector
+    for coeff, axis in ((1.0, 1), (0.7, 1), (rng.uniform(0.5, 2.0, 8), 1), (2.5, 0), (2.5, -1)):
+        n = np.linalg.norm(xi, axis=axis, keepdims=True)
+        general = np.where(n > 0.0, coeff * np.where(n > 0.0, n, 1.0) ** 0.0, 0.0) * xi
+        fast = power_gradient(xi, coeff, 2.0, axis)
+        assert fast.shape == general.shape
+        assert fast.tobytes() == general.tobytes()
+
+
 def test_hamiltonian_zero():
     spec = small_spec(r=3.0)
     xi = np.zeros((1, 8))

@@ -553,11 +553,27 @@ def test_vectorised_stages_bit_identical_on_bump(bump_spec):
         assert np.array_equal(new, ref), name
 
 
+def _cfl_bound_case():
+    """r = 3 with a per-node c and a steep u_T, so the value sweep's CFL bound binds."""
+    g = Grid(d=1, nx=48, nt=10, T=1.0)
+    x = g.axis_coords()
+    spec = ProblemSpec(grid=g, q=2, r=3, s=2, c=0.5 + 0.3 * np.cos(2 * np.pi * x),
+                       m0=1.0 + 0.5 * np.cos(2 * np.pi * x), uT=0.3 * np.sin(2 * np.pi * x))
+    spec, m, P = _bump_case(spec)
+    xi_sq, _ = _ref_upwind(spec, spec.uT, _ref_phi_t_price(spec, P[g.nt - 1]))
+    rate = g.d * float(np.max(spec.c * np.sqrt(xi_sq) ** (spec.r - 1.0))) / g.hx
+    assert g.ht * rate > 8.0 * picard.CFL_SAFETY  # the last interval doubles its substeps at least four times
+    return spec, m, P
+
+
 @pytest.mark.parametrize("case", [lambda: _bump_case(bump_instance(nx=48, nt=40)),
-                                  lambda: _diffusive_2d_case(12, 6, 12)], ids=["bump_1d", "diffusive_2d"])
+                                  lambda: _diffusive_2d_case(12, 6, 12), _cfl_bound_case],
+                         ids=["bump_1d", "diffusive_2d", "per_node_c_r3_cfl_bound"])
 def test_vectorised_stages_match_reference_off_powers_of_two(case):
-    # hx = 1/48 or 1/12 and ht = 1/40 or 1/6: the folded factors hx g, 1/hx^r
-    # and dt/hx no longer scale exactly, so the stages match only to rounding
+    # hx = 1/48 or 1/12 and ht = 1/40, 1/6 or 1/10: the folded factors hx g,
+    # 1/hx^r and dt/hx no longer scale exactly, so the stages match only to
+    # rounding; the per-node c case also reads the CFL rate through the
+    # scaled kappa S and doubles its substeps
     for name, (new, ref) in _stage_pairs(*case()).items():
         assert new.shape == ref.shape, name
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)), name
