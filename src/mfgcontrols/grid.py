@@ -18,6 +18,7 @@ the solvers all rest on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,31 +58,33 @@ class Grid:
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
 
-    @property
+    # derived once per grid: the solvers read them on every iteration
+
+    @cached_property
     def hx(self) -> float:
         return 1.0 / self.nx
 
-    @property
+    @cached_property
     def ht(self) -> float:
         return self.T / self.nt
 
-    @property
+    @cached_property
     def space_shape(self) -> tuple:
         return (self.nx,) * self.d
 
-    @property
+    @cached_property
     def n_space(self) -> int:
         return self.nx**self.d
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.hx**self.d
 
-    @property
+    @cached_property
     def scalar_shape(self) -> tuple:
         return (self.nt + 1, *self.space_shape)
 
-    @property
+    @cached_property
     def vector_shape(self) -> tuple:
         return (self.nt + 1, self.d, *self.space_shape)
 
@@ -122,9 +125,10 @@ def grad_values(grid: Grid, u: np.ndarray) -> np.ndarray:
     lead = u.ndim - grid.d
     out = np.empty(u.shape[:lead] + (grid.d,) + u.shape[lead:])
     for i in range(grid.d):
-        ax = lead + i
-        sl = (slice(None),) * lead + (i,)
-        out[sl] = (shift(u, -1, ax) - u) / grid.hx
+        # one temporary per axis, differenced in place and divided straight into the output
+        diff = shift(u, -1, lead + i)
+        diff -= u
+        np.divide(diff, grid.hx, out=out[(slice(None),) * lead + (i,)])
     return out
 
 

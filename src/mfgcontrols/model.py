@@ -43,9 +43,13 @@ def conjugate_exponent(p: float) -> float:
 
 
 def power_value(xi, coeff, expo, axis=-1):
-    """coeff * |xi|^expo / expo, the norm taken over the component axis."""
+    """coeff * |xi|^expo / expo, the norm taken over the component axis.
+
+    expo = 2 skips the power: |xi|^2 ** 1.0 is |xi|^2 exactly.
+    """
     xi = np.asarray(xi, dtype=float)
-    return coeff / expo * (xi * xi).sum(axis=axis) ** (0.5 * expo)
+    sq = (xi * xi).sum(axis=axis)
+    return coeff / expo * (sq if expo == 2.0 else sq ** (0.5 * expo))
 
 
 def power_gradient(xi, coeff, expo, axis=-1):
@@ -230,6 +234,11 @@ class ProblemSpec:
     def A_psd(self) -> np.ndarray:
         """A after the symmetric positive-semidefinite check (NotPSD otherwise)."""
         return check_psd(self.A, self.grid.d)
+
+    @cached_property
+    def diffusive(self) -> bool:
+        """A != 0: whether the second-order terms are present at all."""
+        return bool(self.A.any())
 
     # -- coefficient powers of the conjugates, computed once per spec
 

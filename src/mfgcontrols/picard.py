@@ -171,7 +171,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     g = spec.grid
     A = spec.A_psd
-    diffusive = A.any()
+    diffusive = spec.diffusive
     if np.min(m) < -1e-12:
         raise NegativeDensity("solve_hjb requires m >= 0")
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
@@ -270,7 +270,7 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     g = spec.grid
     A = spec.A_psd
-    diffusive = A.any()
+    diffusive = spec.diffusive
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)

@@ -92,9 +92,11 @@ def prox_Phi_star(Pbar, sigma_step, kappa_phi, s):
     Pbar = np.asarray(Pbar, dtype=float)
     if kappa_phi == 0.0:
         return np.zeros_like(Pbar)
-    n = np.sqrt((Pbar * Pbar).sum(axis=-1, keepdims=True))
     s_prime = s / (s - 1.0)
     lam = sigma_step * kappa_phi ** (1.0 - s_prime)
+    if s_prime == 2.0:  # the radial map rho = |Pbar|/(1 + lam) is linear: no norm needed
+        return Pbar / (1.0 + lam)
+    n = np.sqrt((Pbar * Pbar).sum(axis=-1, keepdims=True))
     rho = power_prox(n, lam, s_prime)
     n_safe = np.where(n > 0.0, n, 1.0)
     return rho / n_safe * Pbar
@@ -115,8 +117,10 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
     """Exact prox of tau * [m H*(x, -w/m) + theta m^q / q] over m >= 0.
 
     wbar carries its components on the *first* axis; mbar has the remaining
-    shape.  c and theta broadcast against mbar.  Returns (m, w) with the
-    apex convention: m = 0 forces w = 0.
+    shape.  c and theta broadcast against mbar; a caller that passes them
+    already as C-contiguous float arrays of mbar's shape (the PD loop forms
+    them once per solve) saves a broadcast and a copy per call.  Returns
+    (m, w) with the apex convention: m = 0 forces w = 0.
 
     The optimal w is colinear with wbar; (m, |w|) comes from
     ``_prox_quadratic`` at q = r = 2 and from ``_prox_joint`` otherwise.
@@ -125,15 +129,22 @@ def prox_kinetic_congestion(mbar, wbar, tau, c, r, theta=0.0, q=2.0):
         raise ValueError("tau must be positive")
     mbar = np.asarray(mbar, dtype=float)
     wbar = np.asarray(wbar, dtype=float)
-    c = np.broadcast_to(np.asarray(c, dtype=float), mbar.shape)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), mbar.shape)
+    # a contiguous c: the Newton loop multiplies by it on every pass
+    c, theta = _field(c, mbar.shape), _field(theta, mbar.shape)
     if r == 2.0 and q == 2.0:
-        # a contiguous c: the Newton loop multiplies by it on every pass
-        return _prox_quadratic(mbar, wbar, tau, c.copy(), theta)
+        return _prox_quadratic(mbar, wbar, tau, c, theta)
     wnorm = np.sqrt(np.sum(wbar * wbar, axis=0))
     m, rho = _prox_joint(mbar, wnorm, tau, c, r, theta, q)
     wn_safe = np.where(wnorm > 0.0, wnorm, 1.0)
     return m, np.where(m > 0.0, rho / wn_safe, 0.0) * wbar
+
+
+def _field(a, shape):
+    """a as a C-contiguous float array of the given shape; a itself when it is one already."""
+    a = np.asarray(a, dtype=float)
+    if a.shape == shape and a.flags.c_contiguous:
+        return a
+    return np.broadcast_to(a, shape).copy()
 
 
 def _prox_joint(mbar, wnorm, tau, c, r, theta, q):
@@ -218,9 +229,12 @@ def _prox_quadratic(mbar, wbar, tau, c, theta):
     w2 = (wbar * wbar).sum(axis=0)
     # apex: the kinetic cost of any m > 0 outweighs the quadratic pull
     apex = mbar + c * w2 / (2.0 * tau) <= 0.0
-    if apex.any():  # masked entries get a harmless surrogate
+    at_apex = apex.any()
+    if at_apex:  # masked entries get a harmless surrogate
         mbar, w2 = np.where(apex, 1.0, mbar), np.where(apex, 0.0, w2)
-    m = np.where(apex, 0.0, np.maximum(_newton_quadratic(mbar, w2, tau, c, theta), 0.0))  # roots may round below 0
+    m = np.maximum(_newton_quadratic(mbar, w2, tau, c, theta), 0.0)  # roots may round below 0
+    if at_apex:
+        m = np.where(apex, 0.0, m)
     cm = c * m
     return m, cm / (cm + tau) * wbar
 

@@ -23,6 +23,20 @@ relaxed density need not).  The transport residual R, the aggregated flux Z
 and the control argument xi = Du + phi^T P are affine in the point, so the
 dual step at 2 x~ - x uses 2 R~ - R and 2 Z~ - Z, and the relaxation moves
 R, Z and xi along with the point instead of recomputing them.
+
+Where an iteration's time goes (the q = r = s = 2 bump on one core):
+an 8 x 8 iteration, with 64 times fewer cells, costs a quarter to a third
+of a 64 x 64 one (160-170 us against 490-740 us across the host's speed
+phases), so that share of the larger one is per-call work, about 150
+numpy calls, that does not grow with the grid.  At 64 x 64 the joint prox
+takes a third of the iteration, the transport step a sixth, the
+certificate (B, gamma, D and the residual norms) a quarter, and the affine
+images and the relaxation the rest.  So nothing that stays fixed between
+iterations is formed in the loop: the prox's c and theta fields
+(contiguous, of the density's shape), the transport step's spectral
+denominators and closed-form time eigenbasis and the product tau sigma_P
+are formed once per solve, and the grid's mesh constants and shapes and
+the spec's A != 0 flag once per object.
 """
 
 from __future__ import annotations
@@ -124,6 +138,22 @@ class ConvergenceLog:
         return self.iters, self.B, self.D, self.gap, self.fp_res, self.price_res
 
 
+def _time_eigenbasis(nt: int, ht: float):
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of D D^T, D = (I - subdiagonal)/ht.
+
+    ht^2 D D^T is tridiag(-1, (1, 2, ..., 2), -1), the second difference
+    with a half-sample even end before j = 0 and an odd end at j = nt, so
+    its eigenvectors are the DCT-VIII cosines v_k(j) = sqrt(4/(2nt+1))
+    cos((j + 1/2) theta_k), theta_k = (2k+1) pi/(2nt+1), with eigenvalues
+    (2 sin(theta_k/2)/ht)^2 (Strang, "The Discrete Cosine Transform", SIAM
+    Review 1999): a closed form in place of an O(nt^3) eigendecomposition.
+    """
+    theta = (2.0 * np.arange(nt) + 1.0) * np.pi / (2 * nt + 1)
+    mu = (2.0 * np.sin(0.5 * theta) / ht) ** 2
+    V = math.sqrt(4.0 / (2 * nt + 1)) * np.cos(np.outer(np.arange(nt) + 0.5, theta))
+    return mu, V
+
+
 def _transport_step(spec: ProblemSpec, scale: float):
     """The map R -> scale (K K^T)^-1 R, K the linear part of ``transport_residual``.
 
@@ -131,10 +161,11 @@ def _transport_step(spec: ProblemSpec, scale: float):
     (D + lam)(D + lam)^T + beta with D = (I - subdiagonal)/ht and the
     diffusion and divergence symbols lam >= 0 (PSD A) and beta.  As
     D + D^T = ht D D^T + e0 e0^T/ht, the block is
-    (1 + lam ht) D D^T + lam^2 + beta + (lam/ht) e0 e0^T: one eigenbasis of
-    D D^T diagonalizes every mode and Sherman-Morrison removes the rank-one
-    term (zero at A = 0), so the inverse is exact for every PSD A and a
-    solve is an rfft over space, two nt x nt products and an inverse rfft.
+    (1 + lam ht) D D^T + lam^2 + beta + (lam/ht) e0 e0^T: the eigenbasis of
+    D D^T (``_time_eigenbasis``) diagonalizes every mode and Sherman-Morrison
+    removes the rank-one term (zero at A = 0), so the inverse is exact for
+    every PSD A and a solve is an rfft over space, two nt x nt products and
+    an inverse rfft.
     """
     g = spec.grid
     nt = g.nt
@@ -146,13 +177,12 @@ def _transport_step(spec: ProblemSpec, scale: float):
     lam = sum(spec.A[i, j] * (a2[i] if i == j else np.sin(theta[i]) * np.sin(theta[j]) / g.hx**2)
               for i in range(g.d) for j in range(g.d)).ravel()
 
-    Dm = (np.eye(nt) - np.eye(nt, k=-1)) / g.ht
-    mu, V = np.linalg.eigh(Dm @ Dm.T)
+    mu, V = _time_eigenbasis(nt, g.ht)
     denom = (1.0 + lam * g.ht) * mu[:, None] + (lam * lam + beta)  # (nt, modes)
     # complex coefficients are viewed as (real, imag) pairs of float columns
     inv_denom = np.repeat(scale / denom, 2, axis=1)
     corr = None
-    if spec.A.any():
+    if spec.diffusive:
         z = V @ (V[0][:, None] / denom)  # N^-1 e0 per mode, N without the rank-one term
         c = lam / g.ht
         corr = np.repeat(c * z / (1.0 + c * z[0]), 2, axis=1)
@@ -204,6 +234,9 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     sigma_tau = sigma * tau  # kept while tau adapts, so the step bound holds throughout
     u_step = _transport_step(spec, OMEGA)
     alpha = ADAPT0
+    # the prox's coefficient fields, contiguous and of the density's shape, formed once
+    c_t = np.broadcast_to(spec.c, (g.nt, *g.space_shape)).copy()
+    theta_t = np.broadcast_to(spec.theta, c_t.shape).copy()
 
     if init is None:  # stationary density, zero momentum and duals
         m = np.broadcast_to(spec.m0, (g.nt, *g.space_shape)).copy()
@@ -224,7 +257,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
         # prox point: joint kinetic + congestion prox at x - tau K^T y, whose w-part is w - tau xi
         gm = m + tau * transport_adjoint_m(spec, u)
         gm[-1] -= tau * spec.uT / g.ht
-        mt, wt = prox_kinetic_congestion(gm, (w - tau * xi).swapaxes(0, 1), tau, spec.c, spec.r, spec.theta, spec.q)
+        mt, wt = prox_kinetic_congestion(gm, (w - tau * xi).swapaxes(0, 1), tau, c_t, spec.r, theta_t, spec.q)
         wt = wt.swapaxes(0, 1)
         Rt, Zt = transport_residual(spec, mt, wt), spec.aggregate_kernel(wt)
 

@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import InvalidOption
 from .grid import Grid, diffusion_values, div_values, grad_values
 from .model import ProblemSpec
 
@@ -98,10 +99,11 @@ class ResidualReport:
 def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise perspective cost m H*(x, -w/m); +inf where m = 0 and w != 0."""
     pos = m > 0.0
-    if pos.all():  # no vacuum node, so no +inf to place: a third of this function's time in the PD loop
-        return spec.ham_conjugate(w) / m ** (spec.r_prime - 1.0)
-    kin = spec.ham_conjugate(w) / np.where(pos, m, 1.0) ** (spec.r_prime - 1.0)
-    kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
+    vacuum = not pos.all()  # without a vacuum node there is no +inf to place: the PD loop's case
+    base = np.where(pos, m, 1.0) if vacuum else m
+    kin = spec.ham_conjugate(w) / (base if spec.r_prime == 2.0 else base ** (spec.r_prime - 1.0))  # m ** 1.0 is m
+    if vacuum:
+        kin[~pos & (kin > 0.0)] = np.inf  # there kin = H*(w), positive iff w != 0
     return kin
 
 
@@ -134,7 +136,7 @@ def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, xi: np.ndarray) -> np.ndarr
     """
     g = spec.grid
     gam = spec.hamiltonian(xi)
-    if spec.A.any():
+    if spec.diffusive:
         gam -= diffusion_values(g, spec.A, u_int)
     gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
     gam[-1] += (u_int[-1] - spec.uT) / g.ht
@@ -156,7 +158,7 @@ def transport_residual(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, m_start=
     R = div_values(g, w)
     R[0] += (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
     R[1:] += (m[1:] - m[:-1]) / g.ht
-    if spec.A.any():
+    if spec.diffusive:
         R -= diffusion_values(g, spec.A, m)
     return R
 
@@ -166,7 +168,7 @@ def transport_adjoint_m(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     g = spec.grid
     gm = u / g.ht
     gm[:-1] -= u[1:] / g.ht
-    if spec.A.any():
+    if spec.diffusive:
         gm -= diffusion_values(g, spec.A, u)
     return gm
 
@@ -175,7 +177,8 @@ def residual_norms(spec: ProblemSpec, R: np.ndarray, Z: np.ndarray, P: np.ndarra
     """(fp_res, price_res) = (sum ht hx^d |R|, sum ht |P - Psi(Z)|) of R and Z = aggregate_kernel(w)."""
     g = spec.grid
     fp_res = float(np.abs(R).sum()) * g.ht * g.cell_volume
-    return fp_res, float(np.linalg.norm(P - spec.Psi(Z), axis=-1).sum()) * g.ht
+    dP = P - spec.Psi(Z)
+    return fp_res, float(np.sqrt((dP * dP).sum(axis=-1)).sum()) * g.ht
 
 
 def complementarity_value(sol: Solution, spec: ProblemSpec) -> float:
@@ -201,8 +204,11 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
 
     The verdict is true when the gap, the backward-inequality violation,
     the transport, price and feedback residuals and |complementarity| are
-    all below tol and the density minimum is above -tol.
+    all below tol and the density minimum is above -tol.  A tol that is
+    negative or NaN raises InvalidOption: no verdict could hold at it.
     """
+    if not tol >= 0.0:
+        raise InvalidOption(f"tol must be >= 0, got {tol}")
     g = spec.grid
     spec.A_psd  # raises NotPSD
     ht, vol = g.ht, g.cell_volume

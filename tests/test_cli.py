@@ -162,10 +162,11 @@ def test_solve_has_no_seed_option(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_solve_reproducible_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("cfg, tol", [(UNIFORM_CFG, "1e-6"), (BUMP_CFG, "1e-3")], ids=["uniform", "bump"])
+def test_solve_reproducible_byte_identical(tmp_path, capsys, cfg, tol):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", UNIFORM_CFG, "--out", str(out1), "--tol", "1e-6"]) == 0
-    assert main(["solve", UNIFORM_CFG, "--out", str(out2), "--tol", "1e-6"]) == 0
+    assert main(["solve", cfg, "--out", str(out1), "--tol", tol]) == 0
+    assert main(["solve", cfg, "--out", str(out2), "--tol", tol]) == 0
     capsys.readouterr()
     assert sorted(os.listdir(out1)) == sorted(os.listdir(out2)) == RUN_FILES
     assert not (out1 / "gamma.csv").exists()
@@ -286,8 +287,17 @@ def uniform_run(tmp_path, capsys):
 
 
 def test_diagnose_invalid_shifts_exits_1(uniform_run, capsys):
-    assert main(["diagnose", "--solution", str(uniform_run), "--shifts", "0.02,abc"]) == 1
-    assert "--shifts" in _one_line_error(capsys)
+    # a NaN shift is out of range (|eps| < T/4 fails), not a traceback from the interpolation
+    for shifts, named in (("0.02,abc", "--shifts"), ("nan", "eps"), ("0.02,nan", "eps")):
+        assert main(["diagnose", "--solution", str(uniform_run), "--shifts", shifts]) == 1
+        assert named in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan"])
+def test_verify_invalid_tol_exits_1(uniform_run, capsys, tol):
+    # no verdict holds at a negative or NaN tolerance: an input error, as for solve, not a false verdict
+    assert main(["verify", "--solution", str(uniform_run), f"--tol={tol}"]) == 1
+    assert "tol" in _one_line_error(capsys)
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest

@@ -90,8 +90,9 @@ def test_time_shift_sum_sign_symmetry_uniform(uni):
 
 def test_time_shift_rejects_large_eps(uni):
     sol = exact_uniform_solution(uni)
-    with pytest.raises(InvalidOption):
-        time_shift_sum(sol, uni, uni.grid.T / 2)
+    for eps in (uni.grid.T / 2, -uni.grid.T / 2, uni.grid.T / 4, np.nan):
+        with pytest.raises(InvalidOption):
+            time_shift_sum(sol, uni, eps)
 
 
 def test_time_shift_requires_zero_diffusion():

@@ -50,6 +50,19 @@ def test_gradient_sin_accuracy():
     assert np.max(np.abs(du - mid)) <= 1e-2
 
 
+@pytest.mark.parametrize("d, lead", [(1, ()), (1, (3,)), (2, ()), (2, (3,)), (2, (2, 3))])
+def test_grad_values_matches_shift_formula(d, lead):
+    # differenced in place and divided into the output: the bytes of (shift(u, -1, ax) - u) / hx
+    g = Grid(d=d, nx=6, nt=2, T=1.0)
+    u = np.random.default_rng(4).standard_normal(lead + g.space_shape)
+    du = grad_values(g, u)
+    assert du.shape == lead + (d,) + g.space_shape
+    for i in range(d):
+        ax = len(lead) + i
+        ref = (shift(u, -1, ax) - u) / g.hx
+        assert du[(slice(None),) * len(lead) + (i,)].tobytes() == ref.tobytes()
+
+
 def test_divergence_constant_is_zero():
     g = Grid(d=2, nx=6, nt=2, T=1.0)
     w = np.ones(g.vector_shape)

@@ -15,6 +15,7 @@ from mfgcontrols.model import (
     kappa_bar,
     power_conjugate_coeff,
     power_gradient,
+    power_value,
     search_rtilde_2b,
 )
 
@@ -67,6 +68,20 @@ def test_power_gradient_quadratic_bit_identical():
         n = np.linalg.norm(xi, axis=axis, keepdims=True)
         general = np.where(n > 0.0, coeff * np.where(n > 0.0, n, 1.0) ** 0.0, 0.0) * xi
         fast = power_gradient(xi, coeff, 2.0, axis)
+        assert fast.shape == general.shape
+        assert fast.tobytes() == general.tobytes()
+
+
+def test_power_value_quadratic_bit_identical():
+    # expo = 2 skips the ** 1.0 of the general formula; the bytes, zeros included, are the same
+    rng = np.random.default_rng(5)
+    xi = rng.standard_normal((3, 2, 8))
+    xi[0, :, :3] = 0.0
+    xi[1, :, 2:5] = -0.0
+    xi[2, 0, 5] = -0.0
+    for coeff, axis in ((1.0, 1), (0.7, 1), (rng.uniform(0.5, 2.0, 8), 1), (2.5, 0), (2.5, -1)):
+        general = coeff / 2.0 * (xi * xi).sum(axis=axis) ** (0.5 * 2.0)
+        fast = power_value(xi, coeff, 2.0, axis)
         assert fast.shape == general.shape
         assert fast.tobytes() == general.tobytes()
 

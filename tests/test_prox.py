@@ -50,6 +50,23 @@ def test_prox_phi_star_closed_form_s2():
     assert out == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_prox_phi_star_s2_matches_radial_path(k):
+    # s' = 2 returns Pbar/(1 + lam); the radial path rho(|Pbar|) Pbar/|Pbar| agrees within a few ulp
+    rng = np.random.default_rng(8)
+    Pbar = rng.uniform(-3.0, 3.0, size=(12, k))
+    Pbar[:3] = 0.0  # zero rows stay zero
+    Pbar[3] = -0.0
+    for sigma, kappa in ((0.7, 1.0), (0.05, 2.5), (3.0, 0.3)):
+        lam = sigma * kappa ** (1.0 - 2.0)
+        n = np.sqrt((Pbar * Pbar).sum(axis=-1, keepdims=True))
+        radial = power_prox(n, lam, 2.0) / np.where(n > 0.0, n, 1.0) * Pbar
+        fast = prox_Phi_star(Pbar, sigma, kappa, 2.0)
+        assert fast.shape == Pbar.shape
+        assert np.all(np.abs(fast - radial) <= 4.0 * np.finfo(float).eps * np.abs(radial))
+        assert np.all(fast[:4] == 0.0)
+
+
 def test_prox_phi_star_brute_s3():
     out = prox_Phi_star(np.array([2.5]), 0.7, 1.3, 3.0)
     ref = brute_prox_phi_star(2.5, 0.7, 1.3, 3.0)

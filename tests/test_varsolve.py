@@ -11,7 +11,8 @@ from mfgcontrols.grid import Grid, div_values, grad_values
 from mfgcontrols.instances import bump_instance, uniform_instance
 from mfgcontrols.model import ProblemSpec, classify_exponents
 from mfgcontrols.picard import PicardOptions, picard_iterate
-from mfgcontrols.varsolve import OMEGA, SolverOptions, _transport_step, random_feasible_init, solve_primal_dual
+from mfgcontrols.varsolve import (OMEGA, SolverOptions, _time_eigenbasis, _transport_step, random_feasible_init,
+                                  solve_primal_dual)
 from mfgcontrols.verify import (
     dual_gamma,
     eval_B,
@@ -203,6 +204,28 @@ def _dense_K(spec):
         lambda x: transport_residual(spec, x[:n_m].reshape(g.nt, *g.space_shape),
                                      x[n_m:].reshape(g.nt, g.d, *g.space_shape), 0.0),
         n_m + n_w, (n_m + n_w,))
+
+
+@pytest.mark.parametrize("nt", [2, 3, 64, 257])
+def test_time_eigenbasis_matches_eigh(nt):
+    # the closed-form DCT-VIII pairs are the eigenpairs eigh finds for D D^T
+    ht = 1.0 / nt
+    D = (np.eye(nt) - np.eye(nt, k=-1)) / ht
+    DDt = D @ D.T
+    mu, V = _time_eigenbasis(nt, ht)
+    mu_ref = np.linalg.eigvalsh(DDt)
+    assert np.all(np.diff(mu) > 0.0)
+    assert np.max(np.abs(mu - mu_ref)) <= 1e-14 * mu_ref[-1]
+    assert np.max(np.abs(V.T @ V - np.eye(nt))) <= 1e-13
+    assert np.max(np.abs(V @ np.diag(mu) @ V.T - DDt)) <= 1e-13 * mu_ref[-1]
+
+
+def test_transport_step_builds_no_eigendecomposition(spec8, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    _transport_step(spec8, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
