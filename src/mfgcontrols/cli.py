@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import shutil
@@ -169,6 +170,7 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mfgc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

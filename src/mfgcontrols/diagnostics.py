@@ -126,7 +126,7 @@ def time_shift_sum(sol: Solution, spec: ProblemSpec, eps: float, eta_fn=None) ->
     both endpoints with |eps eta'| < 1 gives the same scaling exponent.
     """
     g = spec.grid
-    if spec.diffusive:
+    if spec.A.any():
         raise InvalidOption("time diagnostics require zero diffusion (A = 0)")
     if not abs(eps) < g.T / 4.0:  # written so that NaN fails it too
         raise InvalidOption(f"|eps| must be below T/4 = {g.T / 4.0}")

@@ -159,30 +159,49 @@ def check_psd(A: np.ndarray, d: int) -> np.ndarray:
     return A
 
 
-def diffusion_values(grid: Grid, A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A_ij d_ij u with centered second differences (constant A).
+def diffusion_stencil(A: np.ndarray) -> tuple:
+    """Lattice split ((e, rho_e), ...) of A = sum rho_e e e^T, zero weights dropped.
+
+    A diagonal A gives its axis terms in axis order.  A 2 x 2 diagonally
+    dominant A (a_ii >= |a_12|) puts |a_12| on e_1 + sign(a_12) e_2 and
+    a_ii - |a_12| on e_i: every weight is >= 0, so the stencil is monotone
+    (Fehrenbach-Mirebeau, JMIV 2014).  Any other A gets +-a_12/2 on e_1 +- e_2,
+    the centred cross difference.  A is not validated here (``ProblemSpec.stencil`` is).
+    """
+    if len(A) == 1:
+        terms = [((1,), A[0, 0])]
+    elif min(A[0, 0], A[1, 1]) >= abs(A[0, 1]):
+        b = abs(A[0, 1])
+        terms = [((1, 0), A[0, 0] - b), ((0, 1), A[1, 1] - b), ((1, 1 if A[0, 1] > 0 else -1), b)]
+    else:
+        terms = [((1, 0), A[0, 0]), ((0, 1), A[1, 1]), ((1, 1), A[0, 1] / 2), ((1, -1), -A[0, 1] / 2)]
+    return tuple((e, float(rho)) for e, rho in terms if rho != 0.0)
+
+
+def diffusion_values(grid: Grid, stencil: tuple, u: np.ndarray) -> np.ndarray:
+    """sum rho_e (u(x + e hx) - 2 u + u(x - e hx)) / hx^2 over a ``diffusion_stencil``.
 
     Self-adjoint on the periodic lattice; with constant coefficients the same
     routine serves both the second-order term of the backward equation and
-    its formal adjoint in the transport equation.  A raw stencil: A is not
-    validated here; callers pass ``ProblemSpec.A_psd``, checked once per spec.
+    its formal adjoint in the transport equation.
     """
-    lead = u.ndim - grid.d
+    axes = tuple(range(u.ndim - grid.d, u.ndim))
     out = np.zeros_like(u, dtype=float)
     hx2 = grid.hx**2
-    for i in range(grid.d):
-        ai = lead + i
-        if A[i, i] != 0.0:
-            out += A[i, i] * (shift(u, -1, ai) - 2.0 * u + shift(u, 1, ai)) / hx2
-        for j in range(i + 1, grid.d):
-            if A[i, j] != 0.0:
-                aj = lead + j
-                up, um = shift(u, -1, ai), shift(u, 1, ai)
-                cross = (
-                    shift(up, -1, aj) - shift(up, 1, aj) - shift(um, -1, aj) + shift(um, 1, aj)
-                ) / (4.0 * hx2)
-                out += 2.0 * A[i, j] * cross
+    for e, rho in stencil:
+        out += rho * (np.roll(u, [-k for k in e], axes) - 2.0 * u + np.roll(u, e, axes)) / hx2
     return out
+
+
+def diffusion_symbol(grid: Grid, stencil: tuple, theta: tuple):
+    """sum rho_e (2 sin(e.theta/2)/hx)^2, the Fourier symbol of -diffusion_values at angles theta (one per axis)."""
+    return sum(rho * (2.0 * np.sin(sum(ei * th for ei, th in zip(e, theta)) / 2.0) / grid.hx) ** 2
+               for e, rho in stencil)
+
+
+def diffusion_rate(grid: Grid, stencil: tuple) -> float:
+    """2 sum |rho_e| / hx^2: the explicit step's stability rate (with every rho_e >= 0, its positivity rate)."""
+    return 2.0 * sum(abs(rho) for _, rho in stencil) / grid.hx**2
 
 
 def integrate_space_values(grid: Grid, f: np.ndarray) -> np.ndarray:

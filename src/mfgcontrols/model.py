@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeDensity, NotPSD
-from .grid import Grid, check_psd, integrate_space_values
+from .grid import Grid, check_psd, diffusion_stencil, integrate_space_values
 
 BORDERLINE_SENTINEL = 1.0e6
 RTILDE_RESOLUTION = 1.0e-3
@@ -231,14 +231,9 @@ class ProblemSpec:
     # -- validated once per spec; a failed check is not cached and raises again
 
     @cached_property
-    def A_psd(self) -> np.ndarray:
-        """A after the symmetric positive-semidefinite check (NotPSD otherwise)."""
-        return check_psd(self.A, self.grid.d)
-
-    @cached_property
-    def diffusive(self) -> bool:
-        """A != 0: whether the second-order terms are present at all."""
-        return bool(self.A.any())
+    def stencil(self) -> tuple:
+        """A's ``diffusion_stencil`` after the symmetric PSD check (NotPSD otherwise); empty for A = 0."""
+        return diffusion_stencil(check_psd(self.A, self.grid.d))
 
     # -- coefficient powers of the conjugates, computed once per spec
 
@@ -372,7 +367,7 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     rep.record("H2_hamiltonian", ok, "" if ok else f"need r > 1 and c > 0 (r={spec.r}, c_min={spec.c.min()})")
 
     try:
-        spec.A_psd
+        spec.stencil
         rep.record("H3_diffusion", True)
     except NotPSD as exc:
         rep.record("H3_diffusion", False, str(exc))

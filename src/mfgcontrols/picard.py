@@ -30,8 +30,8 @@ view of the nodes on either side of the faces, then one sum of its two
 rows.  Feedback takes the forward differences of the whole path from
 ``grad_values`` and the backward ones as their shift by one node; at
 r = 2 (and s = 2 in the price update) ``power_gradient`` is the linear map.
-The diffusion matrix A is validated once per spec (``ProblemSpec.A_psd``),
-and the diffusion stencil and its CFL term are formed only when A != 0.
+A is validated and split once per spec (``ProblemSpec.stencil``); the
+stencil is applied only when A != 0, and its CFL term is ``grid.diffusion_rate``.
 
 The value pass's CFL rate max_x(rate_coef S^e), e = (r - 1)/2, is taken
 as max(rate_coef) max_x(kappa S)^e with kappa = (rate_coef / max
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLViolation, InvalidOption, NegativeDensity
-from .grid import diffusion_values, grad_values, shift
+from .grid import diffusion_rate, diffusion_values, grad_values, shift
 from .model import ProblemSpec
 from .verify import Solution
 
@@ -138,15 +138,6 @@ def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
     return np.power(x, expo, out=out)
 
 
-def _diffusion_cfl(spec: ProblemSpec) -> float:
-    """Stability contribution of the explicit centered diffusion stencil."""
-    g = spec.grid
-    A = spec.A
-    s = 2.0 * float(np.trace(A)) / g.hx**2
-    off = float(np.sum(np.abs(A)) - np.trace(np.abs(A)))
-    return s + 2.0 * off / g.hx**2
-
-
 def _refuse(sweep: str, rate: float, interval: int) -> CFLViolation:
     """Refusal of an interval needing over MAX_SUBSTEPS substeps at this CFL rate."""
     admissible = MAX_SUBSTEPS * CFL_SAFETY / max(rate, 1e-300)  # the largest ht those substeps cover
@@ -170,8 +161,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     max(rate_coef) max(kappa S)^e (see the module docstring).
     """
     g = spec.grid
-    A = spec.A_psd
-    diffusive = spec.diffusive
+    diffusion = spec.stencil
     if np.min(m) < -1e-12:
         raise NegativeDensity("solve_hjb requires m >= 0")
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
@@ -197,7 +187,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     g_signed = np.empty((g.nt + 1, d, 2, *g.space_shape))  # the price shift hx g with each slope's sign
     np.multiply(spec.phi_transpose_price(P), hx, out=g_signed[:, :, 0])
     np.negative(g_signed[:, :, 0], out=g_signed[:, :, 1])
-    diff_rate = _diffusion_cfl(spec) if diffusive else 0.0
+    diff_rate = diffusion_rate(g, diffusion)
     for j in range(g.nt - 1, -1, -1):
         rhs, gj = fm[j + 1], g_signed[j]
         n_sub = 1
@@ -222,8 +212,8 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                     ok = False
                     break
                 np.multiply(_power(xi_sq, ham_expo, ham), ham_coef, out=ham)
-                if diffusive:
-                    ham -= diffusion_values(g, A, cur)  # now H - A_ij d_ij u
+                if diffusion:
+                    ham -= diffusion_values(g, diffusion, cur)  # now H - A_ij d_ij u
                 np.subtract(rhs, ham, out=ham)  # f(m) - H + A_ij d_ij u
                 ham *= dt
                 cur += ham
@@ -259,8 +249,8 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
     Interval n is driven by the drift slice v[n-1]; mass is conserved
     exactly by the flux form and nonnegativity holds under the CFL bound
-    for diagonal A (the centred cross difference of A_12 != 0 has negative
-    corner weights, so a density with zeros can turn negative there).
+    for diagonally dominant A, whose stencil weights are all >= 0 (the
+    centred cross difference of any other A has negative corner weights).
     Fluxes live on the wrapped face list: along each axis, entry k is the
     face between nodes k - 1 and k, so both ends carry the same periodic
     face.  The face velocities of each interval are scaled by its substep
@@ -269,12 +259,11 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     nodes on either side of the faces, then one sum of its two rows.
     """
     g = spec.grid
-    A = spec.A_psd
-    diffusive = spec.diffusive
+    diffusion = spec.stencil
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
     speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
-    rates = d * speeds / hx + (_diffusion_cfl(spec) if diffusive else 0.0)
+    rates = d * speeds / hx + diffusion_rate(g, diffusion)
     needed = np.ceil(rates * ht / CFL_SAFETY - 1e-12)
     # capped before the cast, so an infinite or NaN rate refuses the interval below
     n_subs = np.maximum(1, np.fmin(needed, MAX_SUBSTEPS + 1)).astype(int)
@@ -317,11 +306,11 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                 np.subtract(f_hi, f_lo, out=div)
             for extra in extras:
                 flux_div += extra
-            if diffusive:
-                lap = diffusion_values(g, A, cur)
+            if diffusion:
+                lap = diffusion_values(g, diffusion, cur)
                 lap *= dt
             cur -= flux_div
-            if diffusive:
+            if diffusion:
                 cur += lap
         m_next[...] = cur
     return m

@@ -36,7 +36,7 @@ iterations is formed in the loop: the prox's c and theta fields
 (contiguous, of the density's shape), the transport step's spectral
 denominators and closed-form time eigenbasis and the product tau sigma_P
 are formed once per solve, and the grid's mesh constants and shapes and
-the spec's A != 0 flag once per object.
+the spec's diffusion stencil once per object.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, InvalidOption
-from .grid import grad_values
+from .grid import diffusion_stencil, diffusion_symbol, grad_values
 from .model import ProblemSpec
 from .prox import prox_kinetic_congestion, prox_Phi_star
 from .verify import (Solution, dual_gamma, eval_B, eval_D, residual_norms, transport_adjoint_m, transport_residual,
@@ -158,8 +158,9 @@ def _transport_step(spec: ProblemSpec, scale: float):
     """The map R -> scale (K K^T)^-1 R, K the linear part of ``transport_residual``.
 
     The spatial DFT splits K K^T into one nt x nt block per mode,
-    (D + lam)(D + lam)^T + beta with D = (I - subdiagonal)/ht and the
-    diffusion and divergence symbols lam >= 0 (PSD A) and beta.  As
+    (D + lam)(D + lam)^T + beta with D = (I - subdiagonal)/ht, lam >= 0
+    the ``diffusion_symbol`` of A's stencil (PSD A) and beta that of the
+    identity's (the divergence symbol).  As
     D + D^T = ht D D^T + e0 e0^T/ht, the block is
     (1 + lam ht) D D^T + lam^2 + beta + (lam/ht) e0 e0^T: the eigenbasis of
     D D^T (``_time_eigenbasis``) diagonalizes every mode and Sherman-Morrison
@@ -169,35 +170,28 @@ def _transport_step(spec: ProblemSpec, scale: float):
     """
     g = spec.grid
     nt = g.nt
+    axes = tuple(range(1, g.d + 1))
     # rfftn layout: full frequency axes first, the halved one last
     sizes = [g.nx] * (g.d - 1) + [g.nx // 2 + 1]
     theta = np.meshgrid(*[2.0 * np.pi * np.arange(n) / g.nx for n in sizes], indexing="ij")
-    a2 = [(2.0 * np.sin(th / 2.0) / g.hx) ** 2 for th in theta]
-    beta = sum(a2).ravel()
-    lam = sum(spec.A[i, j] * (a2[i] if i == j else np.sin(theta[i]) * np.sin(theta[j]) / g.hx**2)
-              for i in range(g.d) for j in range(g.d)).ravel()
+    lam, beta = (np.ravel(diffusion_symbol(g, s, theta)) for s in (spec.stencil, diffusion_stencil(np.eye(g.d))))
 
     mu, V = _time_eigenbasis(nt, g.ht)
     denom = (1.0 + lam * g.ht) * mu[:, None] + (lam * lam + beta)  # (nt, modes)
     # complex coefficients are viewed as (real, imag) pairs of float columns
     inv_denom = np.repeat(scale / denom, 2, axis=1)
     corr = None
-    if spec.diffusive:
+    if spec.stencil:
         z = V @ (V[0][:, None] / denom)  # N^-1 e0 per mode, N without the rank-one term
         c = lam / g.ht
         corr = np.repeat(c * z / (1.0 + c * z[0]), 2, axis=1)
 
     def step(R):
-        Rh = np.fft.rfft(R)
-        for ax in range(1, g.d):
-            Rh = np.fft.fft(Rh, axis=ax)
+        Rh = np.fft.rfftn(R, axes=axes)
         Y = V @ ((V.T @ Rh.reshape(nt, -1).view(np.float64)) * inv_denom)
         if corr is not None:
             Y -= corr * Y[0]
-        Yh = Y.view(np.complex128).reshape(Rh.shape)
-        for ax in range(1, g.d):
-            Yh = np.fft.ifft(Yh, axis=ax)
-        return np.fft.irfft(Yh, n=g.nx)
+        return np.fft.irfftn(Y.view(np.complex128).reshape(Rh.shape), g.space_shape, axes=axes)
 
     return step
 
@@ -225,7 +219,7 @@ def solve_primal_dual(spec: ProblemSpec, opts: SolverOptions | None = None, init
     opts = opts or SolverOptions()
     g = spec.grid
     tol = opts.tol_gap
-    spec.A_psd  # raises NotPSD
+    spec.stencil  # raises NotPSD
 
     tau = TAU0
     phi = spec.phi.reshape(spec.k, -1)

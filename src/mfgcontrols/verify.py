@@ -136,8 +136,8 @@ def dual_gamma(spec: ProblemSpec, u_int: np.ndarray, xi: np.ndarray) -> np.ndarr
     """
     g = spec.grid
     gam = spec.hamiltonian(xi)
-    if spec.diffusive:
-        gam -= diffusion_values(g, spec.A, u_int)
+    if spec.stencil:
+        gam -= diffusion_values(g, spec.stencil, u_int)
     gam[:-1] += (u_int[:-1] - u_int[1:]) / g.ht
     gam[-1] += (u_int[-1] - spec.uT) / g.ht
     return gam
@@ -158,8 +158,8 @@ def transport_residual(spec: ProblemSpec, m: np.ndarray, w: np.ndarray, m_start=
     R = div_values(g, w)
     R[0] += (m[0] - (spec.m0 if m_start is None else m_start)) / g.ht
     R[1:] += (m[1:] - m[:-1]) / g.ht
-    if spec.diffusive:
-        R -= diffusion_values(g, spec.A, m)
+    if spec.stencil:
+        R -= diffusion_values(g, spec.stencil, m)
     return R
 
 
@@ -168,8 +168,8 @@ def transport_adjoint_m(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     g = spec.grid
     gm = u / g.ht
     gm[:-1] -= u[1:] / g.ht
-    if spec.diffusive:
-        gm -= diffusion_values(g, spec.A, u)
+    if spec.stencil:
+        gm -= diffusion_values(g, spec.stencil, u)
     return gm
 
 
@@ -210,7 +210,7 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     if not tol >= 0.0:
         raise InvalidOption(f"tol must be >= 0, got {tol}")
     g = spec.grid
-    spec.A_psd  # raises NotPSD
+    spec.stencil  # raises NotPSD
     ht, vol = g.ht, g.cell_volume
     m, w, gamma = sol.m[1:], sol.w[1:], sol.gamma[1:]
     u, P = sol.u[: g.nt], sol.P[: g.nt]

@@ -266,6 +266,18 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_reusable(tmp_path, capsys):
+    # the parser is cached per process: a second --help still exits 0 and a second
+    # bad argument still exits 1, with the same output each time
+    assert cli.build_parser() is cli.build_parser()
+    for argv, code, stream in ((["--help"], 0, "out"), (["solve", BUMP_CFG, "--tol", "x"], 1, "err")):
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == code
+            outputs.append(getattr(capsys.readouterr(), stream))
+        assert "usage:" in outputs[0] and outputs[0] == outputs[1]
+
+
 def test_probe_invalid_n_inits_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg")
     assert main(["probe-uniqueness", cfg, "--n-inits", "0"]) == 1

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgcontrols.errors import NotPSD
 from mfgcontrols.diagnostics import _integrate_Q_values
 from mfgcontrols.grid import (
     Grid,
     check_psd,
+    diffusion_rate,
+    diffusion_stencil,
+    diffusion_symbol,
     diffusion_values,
     div_values,
     grad_values,
@@ -111,21 +116,21 @@ def test_diffusion_zero_matrix():
     g = Grid(d=2, nx=6, nt=2, T=1.0)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(g.scalar_shape)
-    assert np.all(diffusion_values(g, np.zeros((2, 2)), u) == 0.0)
+    assert np.all(diffusion_values(g, diffusion_stencil(np.zeros((2, 2))), u) == 0.0)
 
 
 def test_diffusion_sin_spectral():
     g = Grid(d=1, nx=64, nt=2, T=1.0)
     x = g.axis_coords()
     u = np.tile(np.sin(2 * np.pi * x), (3, 1))
-    lap = diffusion_values(g, np.array([[1.0]]), u)
+    lap = diffusion_values(g, diffusion_stencil(np.array([[1.0]])), u)
     assert np.max(np.abs(lap + 4 * np.pi**2 * u)) <= 1e-1
 
 
 def test_diffusion_constant_field():
     g = Grid(d=1, nx=8, nt=2, T=1.0)
     u = np.full(g.scalar_shape, 3.0)
-    assert np.all(diffusion_values(g, np.array([[1.0]]), u) == 0.0)
+    assert np.all(diffusion_values(g, diffusion_stencil(np.array([[1.0]])), u) == 0.0)
 
 
 def test_diffusion_rejects_non_psd():
@@ -138,12 +143,61 @@ def test_diffusion_rejects_non_psd():
 def test_diffusion_self_adjoint():
     g = Grid(d=2, nx=6, nt=2, T=1.0)
     rng = np.random.default_rng(3)
-    A = np.array([[2.0, 0.5], [0.5, 1.0]])
     u = rng.standard_normal(g.scalar_shape)
     v = rng.standard_normal(g.scalar_shape)
-    lhs = inner_Q(g, diffusion_values(g, A, u), v)
-    rhs = inner_Q(g, u, diffusion_values(g, A, v))
-    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+    # a diagonally dominant A (monotone split) and one that needs the centred cross difference
+    for A in ([[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.2], [1.2, 2.0]]):
+        stencil = diffusion_stencil(np.array(A))
+        lhs = inner_Q(g, diffusion_values(g, stencil, u), v)
+        rhs = inner_Q(g, u, diffusion_values(g, stencil, v))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+@st.composite
+def psd_matrices(draw):
+    """A symmetric PSD A in d = 1 or 2: diagonal, diagonally dominant, or B B^T with any cross term."""
+    d = draw(st.sampled_from([1, 2]))
+    diag = [draw(st.floats(0.0, 2.0)) for _ in range(d)]
+    A = np.diag(diag)
+    kind = draw(st.sampled_from(["diagonal", "dominant", "BBt"]))
+    if d == 2 and kind == "dominant":
+        A[0, 1] = A[1, 0] = draw(st.floats(-1.0, 1.0)) * min(diag)
+    elif d == 2 and kind == "BBt":
+        B = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(2)] for _ in range(2)])
+        A = B @ B.T
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_matrices())
+def test_diffusion_stencil_splits_A(A):
+    # A = sum rho_e e e^T to rounding; every rho_e >= 0 exactly when A is diagonally dominant;
+    # a diagonal A gives its nonzero axis terms in axis order
+    stencil = diffusion_stencil(A)
+    d = len(A)
+    rebuilt = sum((rho * np.outer(e, e) for e, rho in stencil), np.zeros((d, d)))
+    assert np.max(np.abs(rebuilt - A)) <= 1e-15 * (1.0 + np.max(np.abs(A)))
+    assert all(rho != 0.0 and len(e) == d for e, rho in stencil)
+    dominant = d == 1 or min(A[0, 0], A[1, 1]) >= abs(A[0, 1])
+    assert all(rho >= 0.0 for _, rho in stencil) == dominant
+    if d == 1 or A[0, 1] == 0.0:
+        axis_terms = [(tuple(int(i == j) for j in range(d)), A[i, i]) for i in range(d) if A[i, i] != 0.0]
+        assert list(stencil) == axis_terms
+
+
+def test_diffusion_symbol_and_rate_of_the_stencil():
+    # the symbol is minus the eigenvalue of diffusion_values on each Fourier mode, and
+    # lies in [0, 2 rate]: each term rho_e (2 sin(e.theta/2)/hx)^2 is at most 4 |rho_e| / hx^2
+    g = Grid(d=2, nx=8, nt=2, T=1.0)
+    X, Y = g.meshgrid()
+    for A in ([[0.3, 0.1], [0.1, 0.2]], [[0.3, -0.3], [-0.3, 0.3]], [[0.1, 0.2], [0.2, 0.5]]):
+        stencil = diffusion_stencil(np.array(A))
+        for k1, k2 in ((1, 0), (2, 3), (4, 4), (3, -1)):
+            th = (2 * np.pi * k1 / g.nx, 2 * np.pi * k2 / g.nx)
+            mode = np.cos(2 * np.pi * (k1 * X + k2 * Y))
+            lam = diffusion_symbol(g, stencil, th)
+            assert np.max(np.abs(diffusion_values(g, stencil, mode) + lam * mode)) <= 1e-12 * g.nx**2
+            assert 0.0 <= lam <= 2.0 * diffusion_rate(g, stencil)
 
 
 def test_integrate_space_and_Q():
