@@ -166,11 +166,13 @@ def diffusion_stencil(A: np.ndarray) -> tuple:
     dominant A (a_ii >= |a_12|) puts |a_12| on e_1 + sign(a_12) e_2 and
     a_ii - |a_12| on e_i: every weight is >= 0, so the stencil is monotone
     (Fehrenbach-Mirebeau, JMIV 2014).  Any other A gets +-a_12/2 on e_1 +- e_2,
-    the centred cross difference.  A is not validated here (``ProblemSpec.stencil`` is).
+    the centred cross difference, unless a_12/2 underflows to 0: then the first
+    split carries a_12, and a_ii - |a_12| < 0 keeps its negative weight.  A is
+    not validated here (``ProblemSpec.stencil`` is).
     """
     if len(A) == 1:
         terms = [((1,), A[0, 0])]
-    elif min(A[0, 0], A[1, 1]) >= abs(A[0, 1]):
+    elif min(A[0, 0], A[1, 1]) >= abs(A[0, 1]) or A[0, 1] / 2 == 0.0:
         b = abs(A[0, 1])
         terms = [((1, 0), A[0, 0] - b), ((0, 1), A[1, 1] - b), ((1, 1 if A[0, 1] > 0 else -1), b)]
     else:
@@ -185,11 +187,15 @@ def diffusion_values(grid: Grid, stencil: tuple, u: np.ndarray) -> np.ndarray:
     routine serves both the second-order term of the backward equation and
     its formal adjoint in the transport equation.
     """
-    axes = tuple(range(u.ndim - grid.d, u.ndim))
+    lead = u.ndim - grid.d
     out = np.zeros_like(u, dtype=float)
     hx2 = grid.hx**2
     for e, rho in stencil:
-        out += rho * (np.roll(u, [-k for k in e], axes) - 2.0 * u + np.roll(u, e, axes)) / hx2
+        ahead = behind = u  # u(x + e hx) and u(x - e hx), one periodic shift per nonzero component of e
+        for ax, k in enumerate(e, lead):
+            if k:
+                ahead, behind = shift(ahead, -k, ax), shift(behind, k, ax)
+        out += rho * (ahead - 2.0 * u + behind) / hx2
     return out
 
 

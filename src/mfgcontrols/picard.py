@@ -22,12 +22,19 @@ pairs (v+, v-) of the transport face velocities are likewise formed for
 the whole path before the passes start.  Each pass keeps its field in one
 ghost-padded buffer of shape (nx+2)^d, built once per call, so a substep
 is a fixed short list of numpy calls on views and buffers made once per
-call: one strided copy per axis refreshes the periodic ghosts 0 and nx+1
-from nodes nx and 1; the value pass takes both one-sided differences of
-each axis into one slope buffer, and the density pass forms each axis's
-face flux as one product of the interval's (v+, v-) pair with a read-only
-view of the nodes on either side of the faces, then one sum of its two
-rows.  Feedback takes the forward differences of the whole path from
+call, at about 0.4 us each on the 64 x 64 bump: one strided copy per axis
+refreshes the periodic ghosts 0 and nx+1 from nodes nx and 1.  For d = 1
+the value substep is eleven calls: two subtractions of the neighbours
+k - 1 and k + 1 from u into one slope buffer, then on both slopes at once
+the price shift, the clip at a 0-d zero and the square, their sum S, the
+argmax of S (cheaper than its max; the entry is read by ``item``), the
+product dt c S / (r hx^r), dt f(m) minus it, and the update.  Every factor
+of dt is folded in once per call at dt = ht and halved, exactly, when the
+substeps double.  The density substep is six: v+ times the nodes k - 1 and
+v- times the nodes k beside each face k, their sum, the flux difference
+and the update.  One product over a read-only (2, ...) view of both
+neighbours instead of two contiguous ones measured slower in both passes.
+Feedback takes the forward differences of the whole path from
 ``grad_values`` and the backward ones as their shift by one node; at
 r = 2 (and s = 2 in the price update) ``power_gradient`` is the linear map.
 A is validated and split once per spec (``ProblemSpec.stencil``); the
@@ -40,7 +47,8 @@ an elementwise power, product and maximum.  The two agree up to rounding:
 rate_coef S^e = max(rate_coef) (kappa S)^e at every node, and an
 increasing power commutes with the maximum over nodes.  kappa <= 1, so
 kappa S cannot overflow where S does not, even when e is small and 1/e
-large.  A constant c has kappa = 1 exactly.
+large.  A constant c has kappa = 1 exactly, so its product is skipped.
+A rate that is not finite (an overflowing d c / hx^r) refuses the interval.
 
 Nothing here shares machinery with the saddle-point path beyond the grid
 stencils and ``verify.Solution`` (nothing comes from ``varsolve``), so
@@ -123,10 +131,10 @@ def _ghost_padded(n: int, d: int):
     return pad, _axis_window(pad, 0, 1, n + 1), ghosts
 
 
-def _two_windows(pad: np.ndarray, ax: int, n: int) -> np.ndarray:
-    """Read-only (2, ...) view: the nodes k - 1 and k beside each face k = 0..n along axis ax."""
-    lo = _axis_window(pad, ax, 0, n + 1)
-    return np.lib.stride_tricks.as_strided(lo, (2, *lo.shape), (pad.strides[ax], *lo.strides), writeable=False)
+def _wrapped(a: np.ndarray, ax: int) -> np.ndarray:
+    """a with one periodic ghost entry at each end of axis ax: entries n-1, 0, 1, ..., n-1, 0."""
+    lead = (slice(None),) * ax
+    return np.concatenate((a[lead + (slice(-1, None),)], a, a[lead + (slice(None, 1),)]), axis=ax)
 
 
 def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
@@ -139,8 +147,8 @@ def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
 
 
 def _refuse(sweep: str, rate: float, interval: int) -> CFLViolation:
-    """Refusal of an interval needing over MAX_SUBSTEPS substeps at this CFL rate."""
-    admissible = MAX_SUBSTEPS * CFL_SAFETY / max(rate, 1e-300)  # the largest ht those substeps cover
+    """Refusal of an interval needing over MAX_SUBSTEPS substeps at this CFL rate (a NaN rate admits ht = 0)."""
+    admissible = MAX_SUBSTEPS * CFL_SAFETY / max(rate, 1e-300) if rate <= np.inf else 0.0  # the largest ht covered
     return CFLViolation(f"explicit {sweep} sweep needs ht <= {admissible:.3e} (interval {interval})",
                         admissible_ht=admissible)
 
@@ -150,27 +158,30 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
     m is the full (nt+1)-slotted density, P the full price path; the output
     u is slotted at the left interval endpoints with u[nt] = u_T.  Substeps
-    per interval double from one until the CFL bound holds.  Each substep
-    forms the Osher-Sethian sum
+    per interval double from one until the CFL bound holds; a non-finite
+    CFL rate refuses the interval.  Each substep forms the Osher-Sethian sum
     xi_sq = sum_i max(D^-_i u + g_i, 0)^2 + min(D^+_i u + g_i, 0)^2
-    (g = phi^T P) and steps u by ht (f(m) - c xi_sq^(r/2) / r + A_ij d_ij u).
+    (g = phi^T P) and steps u by dt (f(m) - c xi_sq^(r/2) / r + A_ij d_ij u).
     The slopes stay unscaled, hx (D^-_i u + g_i) and -hx (D^+_i u + g_i), so
     one maximum clips both and their squares sum to S = hx^2 xi_sq; the
-    factors c / (r hx^r) of H and d c / hx^r of the CFL rate are formed
-    once per call.  The rate max(rate_coef S^e), e = (r - 1)/2, is read as
-    max(rate_coef) max(kappa S)^e (see the module docstring).
+    factors dt f(m), dt c / (r hx^r) and dt rho_e of the step are formed at
+    dt = ht and halved when the substeps double, and d c / hx^r of the CFL
+    rate once per call.  The rate max(rate_coef S^e), e = (r - 1)/2, is read
+    as max(rate_coef) max(kappa S)^e; see the module docstring, which also
+    lists a substep's numpy calls.
     """
     g = spec.grid
     diffusion = spec.stencil
-    if np.min(m) < -1e-12:
+    if m.min() < -1e-12:
         raise NegativeDensity("solve_hjb requires m >= 0")
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     r = spec.r
     speed_expo, ham_expo = 0.5 * (r - 1.0), r / 2.0  # |xi|^(r-1) and |xi|^r from S
     rate_coef = d * spec.c / hx**r  # the CFL rate is max(rate_coef S^speed_expo)
-    ham_coef = spec.c / (r * hx**r)  # H = ham_coef S^ham_expo
     rate_max = float(rate_coef.max())
-    kappa = (rate_coef / rate_max) ** (1.0 / speed_expo)
+    kappa = None if rate_coef.min() == rate_max else (rate_coef / rate_max) ** (1.0 / speed_expo)
+    ham_ht = ht * spec.c / (r * hx**r)  # dt H = ham_ht S^ham_expo at dt = ht
+    diffusion_ht = tuple((e, ht * rho) for e, rho in diffusion)
     limit = CFL_SAFETY * (1.0 + 1e-12)
     pad, cur, ghosts = _ghost_padded(n, d)
     slopes = np.empty((d, 2, *g.space_shape))
@@ -180,20 +191,17 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                for i in range(d)]
     pairs = np.empty((d, *g.space_shape))
     xi_sq, extras = pairs[0], list(pairs[1:])  # S accumulates in the first axis's sum of squares
-    scaled, ham = np.empty(g.space_shape), np.empty(g.space_shape)
+    scaled, ham, zero = np.empty(g.space_shape), np.empty(g.space_shape), np.zeros(())  # 0-d: no float to convert
     u = np.empty(g.scalar_shape)
     u[g.nt] = cur[...] = spec.uT
-    fm = spec.coupling_f(np.maximum(m, 0.0))
-    g_signed = np.empty((g.nt + 1, d, 2, *g.space_shape))  # the price shift hx g with each slope's sign
-    np.multiply(spec.phi_transpose_price(P), hx, out=g_signed[:, :, 0])
-    np.negative(g_signed[:, :, 0], out=g_signed[:, :, 1])
+    fm_ht = ht * spec.coupling_f(np.maximum(m, 0.0))
+    price_shift = spec.phi_transpose_price(P) * hx  # hx g, then with each slope's sign: (nt+1, d, 2, *space)
+    g_signed = np.concatenate((price_shift[:, :, None], -price_shift[:, :, None]), axis=2)
     diff_rate = diffusion_rate(g, diffusion)
     for j in range(g.nt - 1, -1, -1):
-        rhs, gj = fm[j + 1], g_signed[j]
-        n_sub = 1
+        gj, rhs, ham_coef, diffusion_dt, n_sub = g_signed[j], fm_ht[j + 1], ham_ht, diffusion_ht, 1
         while True:
             dt = ht / n_sub
-            ok = True
             for _ in range(n_sub):
                 for dst, src in ghosts:
                     dst[...] = src
@@ -201,27 +209,27 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                     np.subtract(cur, left, out=dm)
                     np.subtract(cur, right, out=dp)
                 slopes += gj
-                np.maximum(slopes, 0.0, out=slopes)
+                np.maximum(slopes, zero, out=slopes)
                 np.square(slopes, out=slopes)
                 np.add(lower, upper, out=pairs)
                 for extra in extras:
                     xi_sq += extra
-                top = np.multiply(xi_sq, kappa, out=scaled).max()
-                rate = rate_max * float(top) ** speed_expo + diff_rate
-                if dt * rate > limit:
-                    ok = False
+                peak = xi_sq if kappa is None else np.multiply(xi_sq, kappa, out=scaled)
+                rate = rate_max * peak.item(peak.argmax()) ** speed_expo + diff_rate
+                if not dt * rate <= limit:  # a NaN rate fails too
                     break
                 np.multiply(_power(xi_sq, ham_expo, ham), ham_coef, out=ham)
                 if diffusion:
-                    ham -= diffusion_values(g, diffusion, cur)  # now H - A_ij d_ij u
-                np.subtract(rhs, ham, out=ham)  # f(m) - H + A_ij d_ij u
-                ham *= dt
+                    ham -= diffusion_values(g, diffusion_dt, cur)  # now dt (H - A_ij d_ij u)
+                np.subtract(rhs, ham, out=ham)  # dt (f(m) - H + A_ij d_ij u)
                 cur += ham
-            if ok:
+            else:
                 break
-            if n_sub >= MAX_SUBSTEPS:
+            if n_sub >= MAX_SUBSTEPS or not np.isfinite(rate):
                 raise _refuse("value", rate, j + 1)
-            n_sub = min(2 * n_sub, MAX_SUBSTEPS)
+            n_sub *= 2
+            rhs, ham_coef = 0.5 * rhs, 0.5 * ham_coef
+            diffusion_dt = tuple((e, 0.5 * rho) for e, rho in diffusion_dt)
             cur[...] = u[j + 1]
         u[j] = cur
     return u
@@ -239,8 +247,11 @@ def feedback(u: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     xi = spec.phi_transpose_price(P)
     for i in range(g.d):
         comp = (slice(None),) * lead + (i,)
-        dp, gi = forward[comp], xi[comp]
-        xi[comp] = np.maximum(shift(dp, 1, lead + i) + gi, 0.0) + np.minimum(dp + gi, 0.0)
+        upper, gi = forward[comp], xi[comp]
+        lower = shift(upper, 1, lead + i)
+        lower += gi
+        upper += gi
+        np.add(np.maximum(lower, 0.0, out=lower), np.minimum(upper, 0.0, out=upper), out=gi)
     return -spec.dH(xi)
 
 
@@ -255,14 +266,14 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     face between nodes k - 1 and k, so both ends carry the same periodic
     face.  The face velocities of each interval are scaled by its substep
     over hx and split into the pair (v+, v-) before the sweep starts, so a
-    substep forms each axis's flux as one product of that pair with the
-    nodes on either side of the faces, then one sum of its two rows.
+    substep forms each axis's flux as v+ times the nodes k - 1 plus v- times
+    the nodes k beside the faces.
     """
     g = spec.grid
     diffusion = spec.stencil
     n, d, hx, ht = g.nx, g.d, g.hx, g.ht
     drift = v[:-1]  # interval n is driven by the slice v[n-1]
-    speeds = np.max(np.abs(drift).reshape(g.nt, -1), axis=1)
+    speeds = np.abs(drift).reshape(g.nt, -1).max(axis=1)
     rates = d * speeds / hx + diffusion_rate(g, diffusion)
     needed = np.ceil(rates * ht / CFL_SAFETY - 1e-12)
     # capped before the cast, so an infinite or NaN rate refuses the interval below
@@ -271,28 +282,22 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     if refused.size:
         raise _refuse("transport", float(rates[refused[0]]), refused[0] + 1)
     steps = ht / n_subs
-    idx = np.arange(-1, n + 1) % n  # [n-1, 0, 1, ..., n-1, 0]: one periodic ghost node at each end
-    v_pm = []  # per axis, (nt, 2, *faces): the upwind pair (v+, v-) of each interval's face velocities
-    for i in range(d):
-        lo, hi = _ends(1 + i)
-        wrapped = drift[:, i].take(idx, axis=1 + i)
-        faces = 0.5 * (wrapped[lo] + wrapped[hi])
-        faces *= (steps / hx).reshape(-1, *(1,) * d)  # dt / hx of each interval
-        pm = np.empty((g.nt, 2, *faces.shape[1:]))
-        np.maximum(faces, 0.0, out=pm[:, 0])
-        np.minimum(faces, 0.0, out=pm[:, 1])
-        v_pm.append(pm)
     pad, cur, ghosts = _ghost_padded(n, d)
     divs = np.empty((d, *g.space_shape))
     flux_div, extras = divs[0], list(divs[1:])  # the first axis's flux difference accumulates the others
-    # per axis, the nodes either side of each face, the two flux terms, the flux and its face ends
-    sides = []
+    # per axis, the upwind pairs (v+, v-) of each interval's face velocities times dt / hx; the nodes
+    # k - 1 and k beside each face k, the two flux terms, the flux and its face ends
+    v_pm, sides = [], []
     for i in range(d):
-        nodes = _two_windows(pad, i, n)
-        terms = np.empty(nodes.shape)
-        flux = np.empty(nodes.shape[1:])
+        lo, hi = _ends(1 + i)
+        wrapped = _wrapped(drift[:, i], 1 + i)
+        faces = wrapped[lo] + wrapped[hi]
+        faces *= (0.5 * (steps / hx)).reshape(-1, *(1,) * d)  # the face mean's 1/2 times each interval's dt / hx
+        v_pm.append(zip(np.maximum(faces, 0.0), np.minimum(faces, 0.0)))
+        flux = np.empty(faces.shape[1:])
         first, last = _ends(i)
-        sides.append((nodes, terms, terms[0], terms[1], flux, flux[last], flux[first], divs[i]))
+        sides.append((_axis_window(pad, i, 0, n + 1), _axis_window(pad, i, 1, n + 2), np.empty(flux.shape),
+                      np.empty(flux.shape), flux, flux[last], flux[first], divs[i]))
     m = np.empty(g.scalar_shape)
     m[0] = cur[...] = spec.m0
     # per interval, the tuple of its (v+, v-) pairs along each axis
@@ -300,8 +305,9 @@ def solve_fp(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
         for _ in range(n_step):
             for dst, src in ghosts:
                 dst[...] = src
-            for pm, (nodes, terms, t_lo, t_hi, flux, f_hi, f_lo, div) in zip(pms, sides):
-                np.multiply(pm, nodes, out=terms)  # v+ m_(k-1) and v- m_k
+            for (vp, vm), (behind, ahead, t_lo, t_hi, flux, f_hi, f_lo, div) in zip(pms, sides):
+                np.multiply(vp, behind, out=t_lo)  # v+ m_(k-1)
+                np.multiply(vm, ahead, out=t_hi)  # v- m_k
                 np.add(t_lo, t_hi, out=flux)
                 np.subtract(f_hi, f_lo, out=div)
             for extra in extras:

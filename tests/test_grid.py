@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfgcontrols.errors import NotPSD
@@ -153,6 +153,22 @@ def test_diffusion_self_adjoint():
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
+# the four stencil shapes: 1-D, diagonal, dominant with e1 + e2 or e1 - e2, and the centred cross difference
+@pytest.mark.parametrize("A", [[[0.3]], [[0.3, 0.0], [0.0, 0.2]], [[0.3, 0.1], [0.1, 0.2]],
+                               [[0.3, -0.2], [-0.2, 0.2]], [[0.1, 0.2], [0.2, 0.5]]])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_diffusion_values_matches_roll_formula(A, lead):
+    # the shifted neighbours are slice copies: the bytes of the np.roll formula, same arithmetic order
+    stencil = diffusion_stencil(np.array(A))
+    g = Grid(d=len(A), nx=6, nt=2, T=1.0)
+    u = np.random.default_rng(6).standard_normal(lead + g.space_shape)
+    axes = tuple(range(len(lead), u.ndim))
+    ref = np.zeros_like(u)
+    for e, rho in stencil:
+        ref += rho * (np.roll(u, [-k for k in e], axes) - 2.0 * u + np.roll(u, e, axes)) / g.hx**2
+    assert diffusion_values(g, stencil, u).tobytes() == ref.tobytes()
+
+
 @st.composite
 def psd_matrices(draw):
     """A symmetric PSD A in d = 1 or 2: diagonal, diagonally dominant, or B B^T with any cross term."""
@@ -170,6 +186,7 @@ def psd_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(psd_matrices())
+@example(np.array([[0.0, 5e-324], [5e-324, 1.0]]))  # a_12/2 underflows: the centred weights would vanish
 def test_diffusion_stencil_splits_A(A):
     # A = sum rho_e e e^T to rounding; every rho_e >= 0 exactly when A is diagonally dominant;
     # a diagonal A gives its nonzero axis terms in axis order

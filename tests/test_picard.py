@@ -7,7 +7,7 @@ from mfgcontrols import picard
 from mfgcontrols.errors import CFLViolation, InvalidOption, NegativeDensity
 from mfgcontrols.grid import Grid
 from mfgcontrols.instances import bump_instance, uniform_instance
-from mfgcontrols.model import ProblemSpec
+from mfgcontrols.model import ProblemSpec, check_assumptions
 from mfgcontrols.picard import (
     PicardOptions,
     feedback,
@@ -88,7 +88,9 @@ def test_fp_mass_and_positivity():
 @st.composite
 def fp_cases(draw):
     """A 1-D or 2-D spec with a nonnegative m0 (zeros included) and a diagonally
-    dominant A, and a random drift field."""
+    dominant A, and a random drift field.  In 2-D |A_12| is near min A_ii, and a
+    zero node z whose other neighbours are all zero lies diagonally next to mass
+    at z + (1, -sign A_12), where a centred cross difference puts its negative weight."""
     d = draw(st.sampled_from([1, 2]))
     g = Grid(d=d, nx=draw(st.integers(4, 16 if d == 1 else 8)), nt=draw(st.integers(2, 6)),
              T=draw(st.floats(0.05, 1.0)))
@@ -97,8 +99,12 @@ def fp_cases(draw):
     m0[(0,) * d] += 1.0  # positive mass, normalized to 1 by the spec
     diag = [draw(st.floats(0.0, 0.02)) for _ in range(d)]
     A = np.diag(diag)
-    if d == 2 and draw(st.booleans()):
-        A[0, 1] = A[1, 0] = draw(st.floats(-1.0, 1.0)) * min(diag)
+    if d == 2:
+        sign = draw(st.sampled_from([1, -1]))
+        A[0, 1] = A[1, 0] = sign * draw(st.floats(0.5, 1.0)) * min(diag)
+        z = rng.integers(g.nx, size=2)
+        m0[np.ix_((z[0] + np.arange(-1, 2)) % g.nx, (z[1] + np.arange(-1, 2)) % g.nx)] = 0.0
+        m0[(z[0] + 1) % g.nx, (z[1] - sign) % g.nx] = 1.0 + rng.uniform()
     spec = ProblemSpec(grid=g, q=2, r=2, s=2, A=A, m0=m0)
     drift = draw(st.floats(0.0, 3.0)) * rng.uniform(-1.0, 1.0, g.vector_shape)
     return spec, drift
@@ -390,6 +396,27 @@ def test_cfl_violation_substep_cap():
     assert g.ht <= admissible and np.all(np.isfinite(m))
 
 
+def test_non_finite_cfl_rate_refuses_with_a_finite_admissible_ht():
+    # c = 1e305 passes check_assumptions, but the value sweep's rate coefficient d c / hx^r
+    # overflows to inf (and kappa = inf / inf was NaN, which passed the CFL test and gave
+    # NaN fields); a NaN drift likewise has a NaN transport rate.  Each refuses its
+    # interval, with admissible ht 0 and no "nan" in the message
+    g = Grid(d=1, nx=64, nt=8, T=1.0)
+    x = g.axis_coords()
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, c=1e305, m0=1.0 + 0.5 * np.cos(2 * np.pi * x),
+                       uT=np.cos(2 * np.pi * x))
+    assert check_assumptions(spec).passed
+    m = np.broadcast_to(spec.m0, g.scalar_shape).copy()
+    runs = [("value", lambda: solve_hjb(m, np.zeros((g.nt + 1, 1)), spec)),
+            ("value", lambda: picard_iterate(spec)),
+            ("transport", lambda: solve_fp(np.full(g.vector_shape, np.nan), spec))]
+    for sweep, run in runs:
+        with pytest.raises(CFLViolation) as err:
+            run()
+        assert err.value.admissible_ht == 0.0
+        assert f"explicit {sweep} sweep" in str(err.value) and "nan" not in str(err.value)
+
+
 def test_cfl_auto_subcycling_succeeds():
     g = Grid(d=1, nx=16, nt=4, T=1.0)
     x = g.axis_coords()
@@ -563,12 +590,12 @@ def test_vectorised_stages_bit_identical_on_bump(bump_spec):
         assert np.array_equal(new, ref), name
 
 
-def _cfl_bound_case():
-    """r = 3 with a per-node c and a steep u_T, so the value sweep's CFL bound binds."""
-    g = Grid(d=1, nx=48, nt=10, T=1.0)
+def _cfl_bound_case(nx=48, nt=10, r=3, amp=0.3):
+    """A per-node c (so kappa != 1) and a steep u_T, so the value sweep's CFL bound binds."""
+    g = Grid(d=1, nx=nx, nt=nt, T=1.0)
     x = g.axis_coords()
-    spec = ProblemSpec(grid=g, q=2, r=3, s=2, c=0.5 + 0.3 * np.cos(2 * np.pi * x),
-                       m0=1.0 + 0.5 * np.cos(2 * np.pi * x), uT=0.3 * np.sin(2 * np.pi * x))
+    spec = ProblemSpec(grid=g, q=2, r=r, s=2, c=0.5 + 0.3 * np.cos(2 * np.pi * x),
+                       m0=1.0 + 0.5 * np.cos(2 * np.pi * x), uT=amp * np.sin(2 * np.pi * x))
     spec, m, P = _bump_case(spec)
     xi_sq, _ = _ref_upwind(spec, spec.uT, _ref_phi_t_price(spec, P[g.nt - 1]))
     rate = g.d * float(np.max(spec.c * np.sqrt(xi_sq) ** (spec.r - 1.0))) / g.hx
@@ -586,6 +613,20 @@ def test_vectorised_stages_match_reference_off_powers_of_two(case):
     # scaled kappa S and doubles its substeps
     for name, (new, ref) in _stage_pairs(*case()).items():
         assert new.shape == ref.shape, name
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("r, amp", [(2, 1.0), (3, 0.3)])
+def test_value_sweep_doubling_substeps_on_powers_of_two(r, amp):
+    # hx = 1/64 and ht = 1/16: the factors dt f(m), dt c / (r hx^r) and hx g, folded once
+    # and halved as the substeps double, scale exactly.  A per-node c reads the CFL rate
+    # through kappa S.  At r = 2 the value sweep is the reference bit for bit; at r = 3
+    # the power (hx^2 xi_sq)^(3/2) is not hx^3 xi_sq^(3/2) to the bit, so it matches to
+    # rounding, as do the transport substeps ht / n (n not a power of two)
+    pairs = _stage_pairs(*_cfl_bound_case(64, 16, r, amp))
+    if r == 2:
+        assert np.array_equal(*pairs["solve_hjb"])
+    for name, (new, ref) in pairs.items():
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
