@@ -10,7 +10,7 @@ class NotPSD(MFGError):
 
 
 class NegativeDensity(MFGError):
-    """Congestion cost evaluated at a negative density."""
+    """A sweep was given a negative density."""
 
 
 class HypothesisViolation(MFGError):

@@ -4,8 +4,8 @@ Field files carry one row per grid node with explicit index columns and all
 floating-point values printed with 17 significant digits, which round-trips
 doubles exactly.  A solution directory holds u.csv, m.csv, w.csv, P.csv,
 log.csv and manifest.json.  The congestion multiplier is not stored: it is
-fixed by the coupling, gamma = f(m), so read_solution derives it from m the
-way the solvers do, and a gamma.csv in an older run directory is ignored.
+fixed by the coupling, gamma = ``spec.coupling_f(m)``, so read_solution derives
+it from m the way the solvers do, and a gamma.csv in an older run directory is ignored.
 """
 
 from __future__ import annotations
@@ -182,4 +182,4 @@ def read_solution(sol_dir: str, spec: ProblemSpec) -> Solution:
     m = read("m.csv", g.scalar_shape, 1).reshape(g.scalar_shape)
     w = read("w.csv", g.scalar_shape, d).reshape(g.nt + 1, g.n_space, d).transpose(0, 2, 1)
     P = read("P.csv", (g.nt + 1,), spec.k)
-    return Solution(grid=g, u=u, m=m, w=w.reshape(g.vector_shape), P=P, gamma=spec.coupling_f(np.maximum(m, 0.0)))
+    return Solution(grid=g, u=u, m=m, w=w.reshape(g.vector_shape), P=P, gamma=spec.coupling_f(m))

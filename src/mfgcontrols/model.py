@@ -4,7 +4,8 @@ The model is the concrete power family: congestion cost f(x, m) =
 theta(x) m^(q-1), Hamiltonian H(x, xi) = c(x)|xi|^r / r, and radial price
 potential Phi(z) = kappa_phi |z|^s / s with gradient Psi.  Every growth and
 monotonicity requirement on the data then holds by construction, and all
-Fenchel conjugates are available in closed form.
+Fenchel conjugates are available in closed form.  f and F read a density at
+its positive part m+ = max(m, 0) (see ``ProblemSpec.coupling_f``).
 
 ``kappa_phi = 0`` selects the degenerate price-free mode: Phi == 0, Psi == 0
 and Phi* is the indicator of {0}, which pins the price path to zero and
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolation, NegativeDensity, NotPSD
+from .errors import HypothesisViolation, NotPSD
 from .grid import Grid, check_psd, diffusion_stencil, integrate_space_values
 
 BORDERLINE_SENTINEL = 1.0e6
@@ -250,18 +251,18 @@ class ProblemSpec:
     # -- congestion family f, F, F*
 
     def coupling_f(self, m):
-        """f(x, m) = theta(x) m^(q-1); requires m >= 0."""
-        m = np.asarray(m, dtype=float)
-        if np.any(m < 0.0):
-            raise NegativeDensity("f(x, m) requires m >= 0")
-        return self.theta * m ** (self.q - 1.0)
+        """f(x, m+) = theta(x) max(m, 0)^(q-1), the congestion multiplier gamma of any density.
+
+        The package's one statement of the sign convention: f and F read a
+        density at its positive part m+, so every caller passes m as it is.
+        Off m >= 0 the primal cost is +inf (``verify.eval_B``), and a density
+        entering a sweep is refused there (``picard.solve_hjb``).
+        """
+        return self.theta * np.maximum(m, 0.0) ** (self.q - 1.0)
 
     def F(self, m):
-        """Primitive of f in m: theta(x) m^q / q; raises NegativeDensity if any m < 0."""
-        m = np.asarray(m, dtype=float)
-        if (m < 0.0).any():
-            raise NegativeDensity("F(x, m) requires m >= 0")
-        return self.theta / self.q * m**self.q
+        """Primitive of f in m at m+ (see ``coupling_f``): theta(x) max(m, 0)^q / q."""
+        return self.theta / self.q * np.maximum(m, 0.0) ** self.q
 
     def F_star(self, a):
         """Conjugate of F: zero for a <= 0, theta^(1-p) a^p / p above."""
@@ -342,13 +343,27 @@ class AssumptionReport:
         return {k: {"passed": ok, "detail": d} for k, (ok, d) in self.entries.items()}
 
 
+def _finite(values) -> bool:
+    """Whether values() is finite everywhere; an overflow in it is the answer here, not a warning."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return bool(np.isfinite(values()).all())
+
+
 def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
-    """Verify every structural hypothesis on the data; never raises."""
+    """Verify every structural hypothesis on the data; never raises.
+
+    H1 and H2 also refuse a theta or c whose derived coefficients overflow
+    on the grid: the conjugate coefficients theta^(1-p) and c^(1-r') and the
+    value sweep's CFL coefficient d c / hx^r.
+    """
     rep = AssumptionReport()
     g = spec.grid
 
     ok = spec.q > 1.0 and float(spec.theta.min()) > 0.0
-    rep.record("H1_congestion", ok, "" if ok else f"need q > 1 and theta > 0 (q={spec.q}, theta_min={spec.theta.min()})")
+    detail = "" if ok else f"need q > 1 and theta > 0 (q={spec.q}, theta_min={spec.theta.min()})"
+    if ok and not _finite(lambda: spec.theta_conj):
+        ok, detail = False, f"theta overflows: theta^(1-p) is not finite (theta_min={spec.theta.min():.3e})"
+    rep.record("H1_congestion", ok, detail)
 
     ok = spec.kappa_phi >= 0.0 and (spec.price_free or spec.s > 1.0)
     rep.record("H1_price_potential", ok, "" if ok else f"need kappa_phi >= 0 and s > 1 (kappa_phi={spec.kappa_phi}, s={spec.s})")
@@ -364,7 +379,11 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     rep.record("H1_phi_constant", ok, detail)
 
     ok = spec.r > 1.0 and float(spec.c.min()) > 0.0
-    rep.record("H2_hamiltonian", ok, "" if ok else f"need r > 1 and c > 0 (r={spec.r}, c_min={spec.c.min()})")
+    detail = "" if ok else f"need r > 1 and c > 0 (r={spec.r}, c_min={spec.c.min()})"
+    if ok and not (_finite(lambda: spec.c_conj) and _finite(lambda: g.d * spec.c.max() / g.hx**spec.r)):
+        ok, detail = False, (f"c overflows on this grid: c^(1-r') or d c / hx^r is not finite "
+                             f"(c_min={spec.c.min():.3e}, c_max={spec.c.max():.3e})")
+    rep.record("H2_hamiltonian", ok, detail)
 
     try:
         spec.stencil

@@ -122,11 +122,11 @@ def _ghost_padded(n: int, d: int):
     """A field buffer of shape (n+2)^d with one periodic ghost layer on each axis.
 
     Returns the buffer, its interior view, and per axis one (ghosts, sources)
-    pair of strided views: ghosts 0 and n+1, and nodes n and 1 (node 1 alone,
-    broadcast, when n = 1), so one in-place copy per axis refreshes the wrap.
+    pair of strided views: ghosts 0 and n+1, and nodes n and 1, so one
+    in-place copy per axis refreshes the wrap.
     """
     pad = np.empty((n + 2,) * d)
-    ghosts = [(_axis_window(pad, i, 0, n + 2, n + 1), _axis_window(pad, i, n, 0, -max(n - 1, 1)))
+    ghosts = [(_axis_window(pad, i, 0, n + 2, n + 1), _axis_window(pad, i, n, 0, 1 - n))
               for i in range(d)]
     return pad, _axis_window(pad, 0, 1, n + 1), ghosts
 
@@ -135,15 +135,6 @@ def _wrapped(a: np.ndarray, ax: int) -> np.ndarray:
     """a with one periodic ghost entry at each end of axis ax: entries n-1, 0, 1, ..., n-1, 0."""
     lead = (slice(None),) * ax
     return np.concatenate((a[lead + (slice(-1, None),)], a, a[lead + (slice(None, 1),)]), axis=ax)
-
-
-def _power(x: np.ndarray, expo: float, out: np.ndarray) -> np.ndarray:
-    """x^expo, written to out unless expo = 1 (x itself); expo = 1/2 is the exact square root."""
-    if expo == 1.0:
-        return x
-    if expo == 0.5:
-        return np.sqrt(x, out=out)
-    return np.power(x, expo, out=out)
 
 
 def _refuse(sweep: str, rate: float, interval: int) -> CFLViolation:
@@ -194,7 +185,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     scaled, ham, zero = np.empty(g.space_shape), np.empty(g.space_shape), np.zeros(())  # 0-d: no float to convert
     u = np.empty(g.scalar_shape)
     u[g.nt] = cur[...] = spec.uT
-    fm_ht = ht * spec.coupling_f(np.maximum(m, 0.0))
+    fm_ht = ht * spec.coupling_f(m)
     price_shift = spec.phi_transpose_price(P) * hx  # hx g, then with each slope's sign: (nt+1, d, 2, *space)
     g_signed = np.concatenate((price_shift[:, :, None], -price_shift[:, :, None]), axis=2)
     diff_rate = diffusion_rate(g, diffusion)
@@ -218,7 +209,7 @@ def solve_hjb(m: np.ndarray, P: np.ndarray, spec: ProblemSpec) -> np.ndarray:
                 rate = rate_max * peak.item(peak.argmax()) ** speed_expo + diff_rate
                 if not dt * rate <= limit:  # a NaN rate fails too
                     break
-                np.multiply(_power(xi_sq, ham_expo, ham), ham_coef, out=ham)
+                np.multiply(xi_sq if ham_expo == 1.0 else np.power(xi_sq, ham_expo, out=ham), ham_coef, out=ham)
                 if diffusion:
                     ham -= diffusion_values(g, diffusion_dt, cur)  # now dt (H - A_ij d_ij u)
                 np.subtract(rhs, ham, out=ham)  # dt (f(m) - H + A_ij d_ij u)
@@ -403,6 +394,6 @@ def picard_iterate(spec: ProblemSpec, opts: PicardOptions | None = None) -> Pica
 
     w = np.zeros(g.vector_shape)
     w[1:] = m[1:, None] * v[:-1]
-    gamma = spec.coupling_f(np.maximum(m, 0.0))
+    gamma = spec.coupling_f(m)
     sol = Solution(grid=g, u=u, m=m, w=w, P=P, gamma=gamma)
     return PicardResult(solution=sol, iterations=n_outer, converged=converged, residuals=residuals)

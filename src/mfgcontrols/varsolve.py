@@ -204,7 +204,7 @@ def _finalize(spec, m, w, u, p) -> Solution:
     w_full = np.concatenate([np.zeros((1, g.d, *g.space_shape)), w], axis=0)
     u_full = np.concatenate([u, spec.uT[None]], axis=0)
     P_full = np.concatenate([p, spec.Psi(spec.aggregate_kernel(w[-1]))[None]], axis=0)
-    gamma = spec.coupling_f(np.maximum(m_full, 0.0))
+    gamma = spec.coupling_f(m_full)
     return Solution(grid=g, u=u_full, m=m_full, w=w_full, P=P_full, gamma=gamma)
 
 

@@ -47,8 +47,8 @@ class Solution:
     u, m, gamma: (nt+1, *space); w: (nt+1, d, *space); P: (nt+1, k).
     Slice 0 of w is identically zero (no interval ends at t = 0) and slice
     nt of u equals the terminal cost.  gamma is the congestion multiplier
-    f(max(m, 0)); every solver sets it so, and a run directory does not
-    store it: io.read_solution derives it from m.
+    ``spec.coupling_f(m)``; every solver sets it so, and a run directory does
+    not store it: io.read_solution derives it from m.
     """
 
     grid: Grid
@@ -108,7 +108,11 @@ def kinetic_energy_values(spec: ProblemSpec, m: np.ndarray, w: np.ndarray) -> np
 
 
 def eval_B(m: np.ndarray, w: np.ndarray, Z: np.ndarray, spec: ProblemSpec) -> float:
-    """Primal cost of interval fields with Z = aggregate_kernel(w); +inf on m < 0 or convention breach."""
+    """Primal cost of interval fields with Z = aggregate_kernel(w).
+
+    +inf off m >= 0, the indicator whose conjugate ``F_star`` includes (this is
+    its one owner: F itself reads m+), and +inf on a perspective-convention breach.
+    """
     g = spec.grid
     if m.min() < 0.0:
         return np.inf
@@ -190,7 +194,7 @@ def complementarity_value(sol: Solution, spec: ProblemSpec) -> float:
     g = spec.grid
     m, w = sol.m[1:], sol.w[1:]
     kin = kinetic_energy_values(spec, m, w)
-    body = np.maximum(m, 0.0) * spec.coupling_f(np.maximum(m, 0.0)) + kin
+    body = np.maximum(m, 0.0) * spec.coupling_f(m) + kin
     total = float(np.sum(body) * g.ht * g.cell_volume)
     z = spec.aggregate_kernel(w)
     total += float(np.sum(sol.P[: g.nt] * z) * g.ht)
@@ -220,7 +224,7 @@ def weak_solution_report(sol: Solution, spec: ProblemSpec, tol: float = 1e-3):
     xi = grad_values(g, u) + spec.phi_transpose_price(P)
 
     gap = eval_B(m, w, Z, spec) + eval_D(u, P, gamma, spec)
-    f_m = spec.coupling_f(np.maximum(m, 0.0))
+    f_m = spec.coupling_f(m)
     hj_violation = float(np.sum(np.maximum(dual_gamma(spec, u, xi) - f_m, 0.0)) * ht * vol)
     fp_res, price_residual = residual_norms(spec, R, Z, P)
     fp_residual = float(np.sum(np.abs(sol.m[0] - spec.m0)) * vol) + fp_res

@@ -290,6 +290,17 @@ def test_solve_non_psd_diffusion_exits_2(tmp_path, capsys):
     assert "H3" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest
+@pytest.mark.parametrize("command", ["classify", "solve", "probe-uniqueness"])
+def test_overflowing_c_exits_2_naming_it(tmp_path, capsys, command):
+    # d c / hx^r overflows on nx = 64: refused at admission, before any sweep or run directory
+    cfg = write_cfg(tmp_path / "c.cfg", nx=64, c=1e305)
+    out = tmp_path / "run"
+    assert main([command, cfg] + (["--out", str(out)] if command == "solve" else [])) == 2
+    assert _one_line_error(capsys).startswith("H2_hamiltonian violated: c overflows")
+    assert not out.exists()
+
+
 @pytest.fixture
 def uniform_run(tmp_path, capsys):
     out = tmp_path / "run"
@@ -348,6 +359,22 @@ def test_csv_backed_run_verifies_on_its_own(tmp_path, capsys):
     os.remove(tmp_path / "data" / "m0.csv")
     capsys.readouterr()
     assert main(["verify", "--solution", str(out)]) == 0
+
+
+def test_absolute_csv_path_is_read_in_place(tmp_path, capsys):
+    # solve copies only relative CSV paths; an absolute one stays where it is, and the run
+    # directory, which names it in its manifest, still verifies
+    x = np.arange(16) / 16
+    theta_csv = tmp_path / "data" / "theta.csv"
+    _write_node_csv(theta_csv, 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    (tmp_path / "cfg").mkdir()
+    cfg = write_cfg(tmp_path / "cfg" / "c.cfg", theta=str(theta_csv))
+    out = tmp_path / "run"
+    assert main(["solve", cfg, "--out", str(out), "--tol", "1e-6"]) == 0
+    assert sorted(os.listdir(out)) == RUN_FILES
+    assert json.loads((out / "manifest.json").read_text())["config"]["theta"] == str(theta_csv)
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(out), "--tol", "1e-6"]) == 0
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line outside pytest

@@ -161,3 +161,49 @@ def test_diagnose_record_assembly(bump_spec, bump_solved):
     assert len(d["time_shift_sums"]) == 2
     assert len(d["space_shift_sums"]) == 2
     assert all(v >= 0.0 for v in rec.time_shift_sums.values())
+
+
+def test_space_shift_sum_off_quadratic_matches_roll_formula():
+    # q = s = r = 3: the density term is weighted by min(m_delta, m)^(q-2), not 1, and j1 is
+    # |xi|^(1/2) xi; checked against the np.roll formula with the trapezoidal rule in time
+    g = Grid(d=1, nx=12, nt=4, T=1.0)
+    spec = ProblemSpec(grid=g, q=3, r=3, s=3, m0=np.ones(12))
+    rng = np.random.default_rng(3)
+    m = np.abs(1.0 + 0.5 * rng.standard_normal(g.scalar_shape))
+    m[2, 5] = 0.0  # a vacuum node, where the weight vanishes
+    u = rng.standard_normal(g.scalar_shape)
+    P = rng.standard_normal((g.nt + 1, 1))
+    sol = Solution(grid=g, u=u, m=m, w=np.zeros(g.vector_shape), P=P, gamma=spec.coupling_f(m))
+    trap = np.full(g.nt + 1, g.ht)
+    trap[[0, -1]] *= 0.5
+    xi = (np.roll(u, -1, axis=1) - u) / g.hx + P  # phi = 1, so phi^T P = P at every node
+    for k in (1, 2, 5):
+        dj = np.roll(xi, -k, axis=1)
+        dj = np.sqrt(np.abs(dj)) * dj
+        back = np.roll(xi, k, axis=1)
+        dj -= np.sqrt(np.abs(back)) * back
+        m_d = np.roll(m, -k, axis=1)
+        density = np.minimum(m_d, m) ** (spec.q - 2.0) * (m_d - m) ** 2
+        expected = 0.5 * trap @ ((m * dj**2 + density).sum(axis=1) * g.hx)
+        assert space_shift_sum(sol, spec, k * g.hx) == pytest.approx(expected, rel=1e-12)
+
+
+def test_price_free_time_diagnostics_have_no_price_term():
+    # kappa_phi = 0: the P norm of time_norms is zero however P moves, and time_shift_sum has
+    # no price term, so on P = 0 it equals the priced game's sum, whose price term is 0 there
+    g = Grid(d=1, nx=16, nt=16, T=1.0)
+    free = ProblemSpec(grid=g, q=3, r=2, s=3, kappa_phi=0.0, m0=np.ones(16))
+    priced = ProblemSpec(grid=g, q=3, r=2, s=3, m0=np.ones(16))
+    rng = np.random.default_rng(5)
+    m = np.abs(1.0 + 0.4 * rng.standard_normal(g.scalar_shape))
+    u = rng.standard_normal(g.scalar_shape)
+
+    def sol_with(P):
+        return Solution(grid=g, u=u, m=m, w=np.zeros(g.vector_shape), P=P, gamma=free.coupling_f(m))
+
+    moving = sol_with(rng.standard_normal((g.nt + 1, 1)))
+    norm_m, norm_P = time_norms(moving, free, 0.1)
+    assert norm_P == 0.0 and time_norms(moving, priced, 0.1)[1] > 0.0
+    assert norm_m == time_norms(moving, priced, 0.1)[0] > 0.0
+    still = sol_with(np.zeros((g.nt + 1, 1)))
+    assert time_shift_sum(still, free, 0.05) == time_shift_sum(still, priced, 0.05) > 0.0

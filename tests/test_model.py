@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfgcontrols.errors import HypothesisViolation, NegativeDensity
+from mfgcontrols.errors import HypothesisViolation
 from mfgcontrols.grid import Grid
 from mfgcontrols.instances import uniform_instance
 from mfgcontrols.model import (
@@ -146,12 +146,31 @@ def test_congestion_hand_values():
     assert np.allclose(spec.F(m) + spec.F_star(f), f * m)
 
 
-def test_negative_density_raises():
-    spec = small_spec()
-    with pytest.raises(NegativeDensity):
-        spec.coupling_f(np.full((8,), -0.1))
-    with pytest.raises(NegativeDensity):
-        spec.F(np.full((8,), -0.1))
+def test_negative_density_reads_as_zero():
+    # f and F read a density at its positive part m+: at -0.1 they are f and F at 0, bit for bit
+    m = np.array([-0.1, 0.0, 0.3, -0.1, 1.0, 2.0, -0.1, 0.5])
+    for q in (2.0, 3.0, 1.5):
+        spec = small_spec(q=q)
+        for m_neg, m_plus in ((np.full(8, -0.1), np.zeros(8)), (m, np.maximum(m, 0.0))):
+            assert spec.coupling_f(m_neg).tobytes() == spec.coupling_f(m_plus).tobytes()
+            assert spec.F(m_neg).tobytes() == spec.F(m_plus).tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
+@pytest.mark.parametrize("field, value, admitted, hypothesis", [
+    ("c", 1e305, 1e300, "H2_hamiltonian"),  # d c / hx^r = 4096 c overflows on nx = 64
+    ("c", 1e-320, 1e-300, "H2_hamiltonian"),  # c^(1-r') = 1 / c overflows
+    ("theta", 1e-320, 1e-300, "H1_congestion"),  # theta^(1-p) = 1 / theta overflows
+])
+def test_overflowing_coefficient_is_refused_naming_its_field(field, value, admitted, hypothesis):
+    g = Grid(d=1, nx=64, nt=8, T=1.0)
+    spec = ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(64), **{field: value})
+    rep = check_assumptions(spec)
+    assert [name for name, _ in rep.failures] == [hypothesis]
+    with pytest.raises(HypothesisViolation, match=f"^{hypothesis} violated: {field} overflows"):
+        classify_exponents(spec)
+    ok = check_assumptions(ProblemSpec(grid=g, q=2, r=2, s=2, m0=np.ones(64), **{field: admitted}))
+    assert ok.passed, ok.failures
 
 
 @settings(max_examples=50, deadline=None)
